@@ -1,6 +1,8 @@
 //! Figures 1–3: execution trace analysis of MPI-only versus data-flow on
 //! two (simulated) nodes — **real execution** on the in-process runtime,
-//! with the trace recorder standing in for Extrae/Paraver.
+//! with the `obs` event bus standing in for Extrae/Paraver: every number
+//! below comes from the phase spans of one drained event stream per
+//! variant, folded through `obs::span::SpanGraph`.
 //!
 //! Reported per variant:
 //! * per-kind busy time (the task palette of Figs. 1 and 3),
@@ -13,21 +15,33 @@
 //!
 //! Paper setup scaled to this container: the four-spheres problem, 9
 //! timesteps × 20 stages, 12³-cell blocks, 20 variables, refinement every
-//! 5 timesteps, checksum every 10 stages. `--dump-tsv PREFIX` writes raw
-//! `(kind, start, end)` event tables for external plotting.
+//! 5 timesteps, checksum every 10 stages. For raw timelines, run the
+//! same scenario through `miniamr --trace-json`.
 //!
-//! Usage: `trace_figs [--quick] [--dump-tsv PREFIX]`
+//! Usage: `trace_figs [--quick]`
 
-use miniamr::{Config, Variant};
+use miniamr::{Config, RunStats, Variant};
+use obs::report::Collector;
+use obs::span::SpanGraph;
 use vmpi::NetworkModel;
 
+/// Per-stripe ring capacity; the collector drains the rings every few
+/// milliseconds, so this only has to absorb bursts.
+const RING_CAPACITY: usize = 1 << 18;
+
+/// Runs one variant with the event bus on and folds its drained stream
+/// into a span graph. The bus is shared across runs, so each run gets its
+/// own collector (rank ids restart at 0 per run).
+fn traced_run(cfg: &Config, ranks: usize, net: NetworkModel) -> (Vec<RunStats>, SpanGraph) {
+    let collector = Collector::start(obs::enable_with_capacity(RING_CAPACITY), None, 1);
+    let stats = miniamr::run_world(cfg, ranks, net);
+    let (events, dropped) = collector.finish();
+    assert_eq!(dropped, 0, "event ring overflow: raise RING_CAPACITY");
+    (stats, SpanGraph::build(&events))
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let dump = args
-        .iter()
-        .position(|a| a == "--dump-tsv")
-        .map(|i| args[i + 1].clone());
+    let quick = std::env::args().skip(1).any(|a| a == "--quick");
 
     // Two "nodes" of 4 cores each on this container; the paper used two
     // 48-core nodes.
@@ -51,8 +65,8 @@ fn main() {
     cfg.checksum_freq = 10;
     cfg.refine_freq = 5;
     cfg.variant = Variant::MpiOnly;
-    cfg.trace = true;
-    let mpi_stats = miniamr::run_world(&cfg, mpi_ranks, net().with_ranks_per_node(cores_per_node));
+    let (mpi_stats, mpi_graph) =
+        traced_run(&cfg, mpi_ranks, net().with_ranks_per_node(cores_per_node));
 
     // Data-flow: one rank per node, cores-1 workers (one core drives the
     // main thread).
@@ -70,14 +84,11 @@ fn main() {
     cfg_df.separate_buffers = true;
     cfg_df.max_comm_tasks = 8;
     cfg_df.delayed_checksum = true;
-    cfg_df.trace = true;
-    let df_stats = miniamr::run_world(&cfg_df, df_ranks, net().with_ranks_per_node(1));
+    let (df_stats, df_graph) = traced_run(&cfg_df, df_ranks, net().with_ranks_per_node(1));
 
-    let report = |name: &str, stats: &[miniamr::RunStats]| -> (f64, f64) {
+    let report = |name: &str, stats: &[RunStats], graph: &SpanGraph| -> (f64, f64) {
         println!("\n## {name}");
-        if let Some(tr) = stats.first().and_then(|s| s.trace.as_ref()) {
-            println!("timeline (rank 0):\n{}", tr.render_ascii(96));
-        }
+        println!("timeline (rank 0):\n{}", graph.render_ascii(0, 96));
         let total = stats
             .iter()
             .map(|s| s.times.total.as_secs_f64())
@@ -90,28 +101,25 @@ fn main() {
             "total_s\t{total:.3}\trefine_s\t{refine:.3}\tno_refine_s\t{:.3}",
             total - refine
         );
-        let mut overlap_max: f64 = 0.0;
-        for s in stats {
-            if let Some(tr) = &s.trace {
-                let ov = tr.overlap_fraction();
-                overlap_max = overlap_max.max(ov);
-                if s.rank == 0 {
-                    println!("kind\tbusy_ms (rank 0)");
-                    for (kind, dur) in tr.totals() {
-                        println!("{kind:?}\t{:.2}", dur.as_secs_f64() * 1e3);
-                    }
-                    println!(
-                        "overlap_fraction\t{ov:.3}\tlargest_gap_ms\t{:.2}",
-                        tr.largest_gap().as_secs_f64() * 1e3
-                    );
-                }
-            }
+        println!("kind\tbusy_ms (rank 0)");
+        for (phase, us) in graph.phase_totals(0) {
+            println!("{phase:?}\t{:.2}", us as f64 / 1e3);
         }
+        let ranks = graph.rank_stats();
+        if let Some(r0) = ranks.iter().find(|r| r.rank == 0) {
+            println!(
+                "overlap_fraction\t{:.3}\tlargest_gap_ms\t{:.2}",
+                r0.overlap_fraction,
+                r0.largest_gap_us as f64 / 1e3
+            );
+        }
+        println!("checksum_digest\t{:016x}", stats[0].checksum_digest());
+        let overlap_max = ranks.iter().map(|r| r.overlap_fraction).fold(0.0, f64::max);
         (total - refine, overlap_max)
     };
 
-    let (mpi_nr, _mpi_ov) = report("MPI-only (Figs. 1 upper, 2)", &mpi_stats);
-    let (df_nr, df_ov) = report("Data-flow (Figs. 1 lower, 3)", &df_stats);
+    let (mpi_nr, _mpi_ov) = report("MPI-only (Figs. 1 upper, 2)", &mpi_stats, &mpi_graph);
+    let (df_nr, df_ov) = report("Data-flow (Figs. 1 lower, 3)", &df_stats, &df_graph);
 
     println!("\n## Comparison");
     println!("non_refine_speedup_dataflow_vs_mpi\t{:.2}", mpi_nr / df_nr);
@@ -125,18 +133,10 @@ fn main() {
         mpi_stats.iter().all(|s| s.checksums_failed == 0)
             && df_stats.iter().all(|s| s.checksums_failed == 0),
     );
-
-    if let Some(prefix) = dump {
-        for (name, stats) in [("mpi", &mpi_stats), ("dataflow", &df_stats)] {
-            for s in stats {
-                if let Some(tr) = &s.trace {
-                    let path = format!("{prefix}_{name}_rank{}.tsv", s.rank);
-                    std::fs::write(&path, tr.to_tsv()).expect("write trace TSV");
-                    println!("wrote {path}");
-                }
-            }
-        }
-    }
+    ok &= amr_bench::shape_check(
+        "both variants produce the same checksum digest",
+        mpi_stats[0].checksum_digest() == df_stats[0].checksum_digest(),
+    );
     if !ok {
         std::process::exit(1);
     }

@@ -55,7 +55,6 @@ pub mod exchange;
 pub mod rank;
 pub mod staticcheck;
 pub mod stats;
-pub mod trace;
 pub mod variant;
 
 pub use config::{BalanceKind, Config, JobCtx, Variant};

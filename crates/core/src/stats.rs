@@ -65,8 +65,6 @@ pub struct RunStats {
     /// Buffer-pool reuse counters at the end of the run (hit rate ≈ 1
     /// once the pool is warm — allocation-free steady state).
     pub pool: shmem::PoolStats,
-    /// Recorded trace, if tracing was enabled.
-    pub trace: Option<crate::trace::Trace>,
     /// Snapshot of the global runtime metrics registry taken when this
     /// rank finished (empty unless observability is enabled). The
     /// registry is process-wide, so counters aggregate over *all* ranks;

@@ -35,10 +35,10 @@ use crate::rank::{
     apply_boundary, apply_local_transfer, pack_transfer_into, unpack_transfer, RankState,
 };
 use crate::stats::{RunStats, Stopwatch};
-use crate::trace::{Kind, Trace};
 use crate::variant::{checksum_remote_blocks, record_validation, Buffers, Checkpoint};
 use amr_mesh::data::{BlockData, BlockLayout};
 use amr_mesh::BlockId;
+use obs::span::{timed, Phase};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -79,10 +79,6 @@ pub(crate) fn run_span(
         ts_start,
         resumed,
     ) = SpanStart::unpack(start, cfg, &comm);
-    let trace = match stats.trace.take() {
-        t @ Some(_) => t,
-        None => cfg.trace.then(Trace::new),
-    };
     let gmax = cfg.var_group(0).len();
     let spawned_before = stats.tasks_spawned;
     let replayed_before = stats.tasks_replayed;
@@ -98,12 +94,10 @@ pub(crate) fn run_span(
         let sw = Stopwatch::start();
         let mut mover = TaskMover {
             rt: Arc::clone(&rt),
-            trace: trace.clone(),
         };
         let rt2 = Arc::clone(&rt);
-        let trace2 = trace.clone();
         stats.blocks_moved += run_refinement(&mut state, &comm, &mut mover, &mut |state, jobs| {
-            run_jobs_tasked(&rt2, state, jobs, trace2.as_ref())
+            run_jobs_tasked(&rt2, state, jobs)
         });
         sw.stop(&mut stats.times.refine);
     }
@@ -162,22 +156,13 @@ pub(crate) fn run_span(
             for g in 0..cfg.num_groups() {
                 let vars = cfg.var_group(g);
                 let sw = Stopwatch::start();
-                spawn_communicate(
-                    &rt,
-                    &state,
-                    &comm,
-                    &plan,
-                    &bufs,
-                    vars.clone(),
-                    &mut stats,
-                    trace.as_ref(),
-                );
+                spawn_communicate(&rt, &state, &comm, &plan, &bufs, vars.clone(), &mut stats);
                 sw.stop(&mut stats.times.communicate);
 
                 // Stencil tasks chain behind the unpackers via block
                 // dependencies; no barrier.
                 let sw = Stopwatch::start();
-                spawn_stencils(&rt, &state, vars.clone(), &flops, trace.as_ref());
+                spawn_stencils(&rt, &state, vars.clone(), &flops);
                 sw.stop(&mut stats.times.stencil);
             }
             if stage_counter.is_multiple_of(cfg.checksum_freq) {
@@ -203,18 +188,10 @@ pub(crate) fn run_span(
                         &state,
                         cfg,
                         mesh_epoch,
-                        trace.as_ref(),
                         checksum_obj,
                     ));
                 } else {
-                    let fresh = spawn_local_checksum(
-                        &rt,
-                        &state,
-                        cfg,
-                        mesh_epoch,
-                        trace.as_ref(),
-                        checksum_obj,
-                    );
+                    let fresh = spawn_local_checksum(&rt, &state, cfg, mesh_epoch, checksum_obj);
                     rt.taskwait();
                     validate_pending(
                         fresh,
@@ -248,12 +225,10 @@ pub(crate) fn run_span(
             state.move_objects();
             let mut mover = TaskMover {
                 rt: Arc::clone(&rt),
-                trace: trace.clone(),
             };
             let rt2 = Arc::clone(&rt);
-            let trace2 = trace.clone();
             let moved = run_refinement(&mut state, &comm, &mut mover, &mut |state, jobs| {
-                run_jobs_tasked(&rt2, state, jobs, trace2.as_ref())
+                run_jobs_tasked(&rt2, state, jobs)
             });
             stats.blocks_moved += moved;
             mesh_epoch += 1;
@@ -304,7 +279,6 @@ pub(crate) fn run_span(
     stats.trace_invalidations = invalidations_before + rts.trace_invalidations;
     stats.final_blocks = state.blocks.len();
     stats.pool = state.pool.stats();
-    stats.trace = trace;
     let carry = SpanCarry {
         stage_counter,
         mesh_epoch,
@@ -356,7 +330,6 @@ struct LiveSub<'a> {
     plan: Option<&'a CommPlan>,
     bufs: Option<&'a Buffers>,
     vars: std::ops::Range<usize>,
-    trace: Option<&'a Trace>,
     stats: Option<&'a mut RunStats>,
     /// Stencil phase only.
     flops: Option<&'a Arc<AtomicU64>>,
@@ -381,7 +354,6 @@ impl<'a> LiveSub<'a> {
 impl Submitter<Work> for LiveSub<'_> {
     fn submit(&mut self, spec: TaskSpec<Work>) {
         let builder = self.rt.task().label(spec.label).priority(spec.priority);
-        let tr = self.trace.cloned();
         let layout = self.state.layout;
         match spec.work {
             Work::Recv { msg } => {
@@ -394,12 +366,9 @@ impl Submitter<Work> for LiveSub<'_> {
                 builder
                     .accesses(spec.accesses.clone())
                     .body(move || {
-                        let work =
-                            || tampi::irecv_into(&comm, slice, src as i32, tag).expect("recv task");
-                        match &tr {
-                            Some(t) => t.record(Kind::Recv, work),
-                            None => work(),
-                        }
+                        timed(Phase::Recv, || {
+                            tampi::irecv_into(&comm, slice, src as i32, tag).expect("recv task")
+                        })
                     })
                     .spawn();
             }
@@ -414,15 +383,11 @@ impl Submitter<Work> for LiveSub<'_> {
                 builder
                     .accesses(spec.accesses.clone())
                     .body(move || {
-                        let work = || {
+                        timed(Phase::Pack, || {
                             slice.with_write(|dst| {
                                 pack_transfer_into(&layout, &src, &t, vars2.clone(), dst)
                             });
-                        };
-                        match &tr {
-                            Some(trc) => trc.record(Kind::Pack, work),
-                            None => work(),
-                        }
+                        })
                     })
                     .spawn();
             }
@@ -439,12 +404,9 @@ impl Submitter<Work> for LiveSub<'_> {
                 builder
                     .accesses(spec.accesses.clone())
                     .body(move || {
-                        let work =
-                            || tampi::isend_from(&comm, &slice, dst, tag).expect("send task");
-                        match &tr {
-                            Some(t) => t.record(Kind::Send, work),
-                            None => work(),
-                        }
+                        timed(Phase::Send, || {
+                            tampi::isend_from(&comm, &slice, dst, tag).expect("send task")
+                        })
                     })
                     .spawn();
                 let stats = self.stats.as_mut().expect("communicate phase has stats");
@@ -460,12 +422,9 @@ impl Submitter<Work> for LiveSub<'_> {
                 builder
                     .accesses(spec.accesses)
                     .body(move || {
-                        let work =
-                            || apply_local_transfer(&layout, &src, &dst, &t, vars2.clone(), &pool);
-                        match &tr {
-                            Some(trc) => trc.record(Kind::LocalCopy, work),
-                            None => work(),
-                        }
+                        timed(Phase::LocalCopy, || {
+                            apply_local_transfer(&layout, &src, &dst, &t, vars2.clone(), &pool)
+                        })
                     })
                     .spawn();
             }
@@ -489,15 +448,11 @@ impl Submitter<Work> for LiveSub<'_> {
                 builder
                     .accesses(spec.accesses.clone())
                     .body(move || {
-                        let work = || {
+                        timed(Phase::Unpack, || {
                             slice.with_read(|payload| {
                                 unpack_transfer(&layout, &dst, &t, vars2.clone(), payload)
                             });
-                        };
-                        match &tr {
-                            Some(trc) => trc.record(Kind::Unpack, work),
-                            None => work(),
-                        }
+                        })
                     })
                     .spawn();
             }
@@ -509,14 +464,10 @@ impl Submitter<Work> for LiveSub<'_> {
                 builder
                     .accesses(spec.accesses)
                     .body(move || {
-                        let work = || {
+                        let f = timed(Phase::Stencil, || {
                             amr_mesh::stencil::apply_stencil(&block, &layout, kind, vars2.clone());
                             layout.cells() as u64 * vars2.len() as u64 * kind.flops_per_cell()
-                        };
-                        let f = match &tr {
-                            Some(t) => t.record(Kind::Stencil, work),
-                            None => work(),
-                        };
+                        });
                         flops.fetch_add(f, Ordering::Relaxed);
                     })
                     .spawn();
@@ -528,11 +479,9 @@ impl Submitter<Work> for LiveSub<'_> {
                 builder
                     .accesses(spec.accesses)
                     .body(move || {
-                        let work = || amr_mesh::checksum::block_sums(&block, &layout, 0..nv);
-                        let sums = match &tr {
-                            Some(t) => t.record(Kind::ChecksumLocal, work),
-                            None => work(),
-                        };
+                        let sums = timed(Phase::ChecksumLocal, || {
+                            amr_mesh::checksum::block_sums(&block, &layout, 0..nv)
+                        });
                         slots.lock()[slot] = sums;
                     })
                     .spawn();
@@ -559,7 +508,6 @@ fn spawn_stencils(
     state: &RankState,
     vars: std::ops::Range<usize>,
     flops: &Arc<AtomicU64>,
-    trace: Option<&Trace>,
 ) {
     let ctx = ElabCtx {
         cfg: &state.cfg,
@@ -574,7 +522,6 @@ fn spawn_stencils(
         plan: None,
         bufs: None,
         vars: vars.clone(),
-        trace,
         stats: None,
         flops: Some(flops),
         slots: None,
@@ -594,7 +541,6 @@ fn spawn_communicate(
     bufs: &Buffers,
     vars: std::ops::Range<usize>,
     stats: &mut RunStats,
-    trace: Option<&Trace>,
 ) {
     let ctx = ElabCtx {
         cfg: &state.cfg,
@@ -609,7 +555,6 @@ fn spawn_communicate(
         plan: Some(plan),
         bufs: Some(bufs),
         vars: vars.clone(),
-        trace,
         stats: Some(stats),
         flops: None,
         slots: None,
@@ -655,7 +600,6 @@ fn spawn_local_checksum(
     state: &RankState,
     cfg: &Config,
     epoch: u64,
-    trace: Option<&Trace>,
     obj: ObjId,
 ) -> PendingChecksum {
     let nv = cfg.params.num_vars;
@@ -673,7 +617,6 @@ fn spawn_local_checksum(
         plan: None,
         bufs: None,
         vars: 0..nv,
-        trace,
         stats: None,
         flops: None,
         slots: Some(&slots),
@@ -691,12 +634,7 @@ fn spawn_local_checksum(
 }
 
 /// Split/merge data operations as dependent tasks.
-fn run_jobs_tasked(
-    rt: &Runtime,
-    state: &RankState,
-    jobs: Vec<RefineJob>,
-    trace: Option<&Trace>,
-) -> Vec<BlockData> {
+fn run_jobs_tasked(rt: &Runtime, state: &RankState, jobs: Vec<RefineJob>) -> Vec<BlockData> {
     let results: Arc<Mutex<Vec<BlockData>>> = Arc::new(Mutex::new(Vec::new()));
     let params = state.cfg.params.clone();
     let layout = state.layout;
@@ -711,15 +649,11 @@ fn run_jobs_tasked(
         };
         let results = Arc::clone(&results);
         let params = params.clone();
-        let tr = trace.cloned();
         rt.task()
             .label("refine_copy")
             .accesses(deps)
             .body(move || {
-                let out = match &tr {
-                    Some(t) => t.record(Kind::RefineCopy, || job.run(&params)),
-                    None => job.run(&params),
-                };
+                let out = timed(Phase::RefineCopy, || job.run(&params));
                 results.lock().extend(out);
             })
             .spawn();
@@ -735,7 +669,6 @@ fn run_jobs_tasked(
 /// parallelism before the exchange function returns.
 struct TaskMover {
     rt: Arc<Runtime>,
-    trace: Option<Trace>,
 }
 
 impl BlockMover for TaskMover {
@@ -751,23 +684,18 @@ impl BlockMover for TaskMover {
         let layout = state.layout;
         let nv = state.cfg.params.num_vars;
         let reg = block_region(&layout, &block, 0..nv);
-        let tr = self.trace.clone();
         let pool = Arc::clone(&state.pool);
         self.rt
             .task()
             .label("exchange_send")
             .input(reg)
             .body(move || {
-                let work = || {
+                timed(Phase::RefineExchange, || {
                     // Pooled staging buffer, recycled when the task drops it.
                     let mut payload = pool.take(nv * layout.cells());
                     block.pack_interior_into(&layout, 0..nv, &mut payload);
                     tampi::isend(&comm, &payload, to, tag).expect("exchange send");
-                };
-                match &tr {
-                    Some(t) => t.record(Kind::RefineExchange, work),
-                    None => work(),
-                }
+                })
             })
             .spawn();
     }
@@ -786,22 +714,17 @@ impl BlockMover for TaskMover {
         let block = BlockData::empty(id, &state.cfg.params);
         let handle = block.clone();
         let reg = block_region(&layout, &block, 0..nv);
-        let tr = self.trace.clone();
         self.rt
             .task()
             .label("exchange_recv")
             .out(reg)
             .body(move || {
-                let work = || {
+                timed(Phase::RefineExchange, || {
                     tampi::irecv_with::<f64, _>(&comm, from as i32, tag, move |payload| {
                         handle.unpack_interior(&layout, 0..nv, &payload);
                     })
                     .expect("exchange recv");
-                };
-                match &tr {
-                    Some(t) => t.record(Kind::RefineExchange, work),
-                    None => work(),
-                }
+                })
             })
             .spawn();
         block

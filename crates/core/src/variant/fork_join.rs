@@ -21,11 +21,11 @@ use crate::rank::{
     apply_boundary, apply_local_transfer, pack_transfer_into, unpack_transfer, RankState,
 };
 use crate::stats::{RunStats, Stopwatch};
-use crate::trace::{Kind, Trace};
 use crate::variant::{checksum_remote_blocks, record_validation, Buffers};
 use amr_mesh::block_id::Dir;
 use amr_mesh::data::BlockData;
 use amr_mesh::BlockId;
+use obs::span::{timed, Phase};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -65,10 +65,6 @@ pub(crate) fn run_span(
         ts_start,
         resumed,
     ) = SpanStart::unpack(start, cfg, &comm);
-    let trace = match stats.trace.take() {
-        t @ Some(_) => t,
-        None => cfg.trace.then(Trace::new),
-    };
     let gmax = cfg.var_group(0).len();
     let spawned_before = stats.tasks_spawned;
 
@@ -79,9 +75,8 @@ pub(crate) fn run_span(
         let sw = Stopwatch::start();
         let mut mover = BlockingMover::default();
         let rt_ref = &rt;
-        let trace_ref = trace.clone();
         stats.blocks_moved += run_refinement(&mut state, &comm, &mut mover, &mut |state, jobs| {
-            run_jobs_parallel(rt_ref, state, jobs, trace_ref.as_ref())
+            run_jobs_parallel(rt_ref, state, jobs)
         });
         sw.stop(&mut stats.times.refine);
     }
@@ -112,16 +107,7 @@ pub(crate) fn run_span(
             for g in 0..cfg.num_groups() {
                 let vars = cfg.var_group(g);
                 let sw = Stopwatch::start();
-                communicate(
-                    &rt,
-                    &state,
-                    &comm,
-                    &plan,
-                    &bufs,
-                    vars.clone(),
-                    &mut stats,
-                    trace.as_ref(),
-                );
+                communicate(&rt, &state, &comm, &plan, &bufs, vars.clone(), &mut stats);
                 sw.stop(&mut stats.times.communicate);
 
                 // Parallel stencil sweep with a closing barrier.
@@ -133,16 +119,11 @@ pub(crate) fn run_span(
                     let kind = cfg.stencil;
                     let vars = vars.clone();
                     let flops = Arc::clone(&flops);
-                    let tr = trace.clone();
                     rt.spawn(Vec::new(), move || {
-                        let work = || {
+                        let f = timed(Phase::Stencil, || {
                             amr_mesh::stencil::apply_stencil(&block, &layout, kind, vars.clone());
                             layout.cells() as u64 * vars.len() as u64 * kind.flops_per_cell()
-                        };
-                        let f = match &tr {
-                            Some(t) => t.record(Kind::Stencil, work),
-                            None => work(),
-                        };
+                        });
                         flops.fetch_add(f, Ordering::Relaxed);
                     });
                 }
@@ -154,7 +135,7 @@ pub(crate) fn run_span(
                 let sw = Stopwatch::start();
                 // Parallel local reduction into per-block slots, then the
                 // master performs the global reduction.
-                let (ids, per_block) = parallel_local_checksum(&rt, &state, cfg, trace.as_ref());
+                let (ids, per_block) = parallel_local_checksum(&rt, &state, cfg);
                 let total = checksum_remote_blocks(&comm, &ids, &per_block, cfg.params.num_vars);
                 let cells = (state.dir.len() * cfg.params.cells_per_block()) as f64;
                 record_validation(
@@ -176,9 +157,8 @@ pub(crate) fn run_span(
             state.move_objects();
             let mut mover = BlockingMover::default();
             let rt_ref = &rt;
-            let trace_ref = trace.clone();
             let moved = run_refinement(&mut state, &comm, &mut mover, &mut |state, jobs| {
-                run_jobs_parallel(rt_ref, state, jobs, trace_ref.as_ref())
+                run_jobs_parallel(rt_ref, state, jobs)
             });
             stats.blocks_moved += moved;
             mesh_epoch += 1;
@@ -192,7 +172,6 @@ pub(crate) fn run_span(
     stats.tasks_spawned = spawned_before + rts.spawned;
     stats.final_blocks = state.blocks.len();
     stats.pool = state.pool.stats();
-    stats.trace = trace;
     let carry = SpanCarry {
         stage_counter,
         mesh_epoch,
@@ -204,23 +183,14 @@ pub(crate) fn run_span(
 }
 
 /// Runs split/merge data jobs as a parallel loop with a closing barrier.
-fn run_jobs_parallel(
-    rt: &Runtime,
-    state: &RankState,
-    jobs: Vec<RefineJob>,
-    trace: Option<&Trace>,
-) -> Vec<BlockData> {
+fn run_jobs_parallel(rt: &Runtime, state: &RankState, jobs: Vec<RefineJob>) -> Vec<BlockData> {
     let results: Arc<Mutex<Vec<BlockData>>> = Arc::new(Mutex::new(Vec::new()));
     let params = state.cfg.params.clone();
     for job in jobs {
         let results = Arc::clone(&results);
         let params = params.clone();
-        let tr = trace.cloned();
         rt.spawn(Vec::new(), move || {
-            let out = match &tr {
-                Some(t) => t.record(Kind::RefineCopy, || job.run(&params)),
-                None => job.run(&params),
-            };
+            let out = timed(Phase::RefineCopy, || job.run(&params));
             results.lock().extend(out);
         });
     }
@@ -237,7 +207,6 @@ fn parallel_local_checksum(
     rt: &Runtime,
     state: &RankState,
     cfg: &Config,
-    trace: Option<&Trace>,
 ) -> (Vec<BlockId>, Vec<Vec<f64>>) {
     let nv = cfg.params.num_vars;
     let ids: Vec<BlockId> = state.blocks.keys().copied().collect();
@@ -246,13 +215,10 @@ fn parallel_local_checksum(
     for (i, block) in blocks.into_iter().enumerate() {
         let layout = state.layout;
         let slots = Arc::clone(&slots);
-        let tr = trace.cloned();
         rt.spawn(Vec::new(), move || {
-            let work = || amr_mesh::checksum::block_sums(&block, &layout, 0..nv);
-            let sums = match &tr {
-                Some(t) => t.record(Kind::ChecksumLocal, work),
-                None => work(),
-            };
+            let sums = timed(Phase::ChecksumLocal, || {
+                amr_mesh::checksum::block_sums(&block, &layout, 0..nv)
+            });
             slots.lock()[i] = Some(sums);
         });
     }
@@ -276,7 +242,6 @@ fn communicate(
     bufs: &Buffers,
     vars: std::ops::Range<usize>,
     stats: &mut RunStats,
-    trace: Option<&Trace>,
 ) {
     let g = vars.len();
     for dir in Dir::ALL {
@@ -311,17 +276,12 @@ fn communicate(
                     let lo = (m.send_offset + t.offset_in_msg) * g;
                     bufs.send[d].slice(lo..lo + t.elems_per_var * g)
                 };
-                let tr = trace.cloned();
                 rt.spawn(Vec::new(), move || {
-                    let work = || {
+                    timed(Phase::Pack, || {
                         slice.with_write(|dst| {
                             pack_transfer_into(&layout, &src, &t, vars.clone(), dst)
-                        });
-                    };
-                    match &tr {
-                        Some(trc) => trc.record(Kind::Pack, work),
-                        None => work(),
-                    }
+                        })
+                    });
                 });
             }
         }
@@ -362,14 +322,11 @@ fn communicate(
                     layout.var_elem_range(vars2.clone()),
                 )),
             ];
-            let tr = trace.cloned();
             let pool = Arc::clone(&state.pool);
             rt.spawn(deps, move || {
-                let work = || apply_local_transfer(&layout, &src, &dst, &t, vars2.clone(), &pool);
-                match &tr {
-                    Some(trc) => trc.record(Kind::LocalCopy, work),
-                    None => work(),
-                }
+                timed(Phase::LocalCopy, || {
+                    apply_local_transfer(&layout, &src, &dst, &t, vars2.clone(), &pool)
+                })
             });
         }
         // Boundary fills join the same protected loop.
@@ -397,10 +354,7 @@ fn communicate(
         let mut set = RequestSet::new(reqs);
         let mut arrived = 0usize;
         while arrived < n_recvs {
-            let Some((idx, _)) = (match trace {
-                Some(tr) => tr.record(Kind::Wait, || set.waitany()),
-                None => set.waitany(),
-            }) else {
+            let Some((idx, _)) = timed(Phase::Wait, || set.waitany()) else {
                 break;
             };
             if idx >= n_recvs {
@@ -424,17 +378,12 @@ fn communicate(
                         layout.var_elem_range(vars2.clone()),
                     )),
                 ];
-                let tr = trace.cloned();
                 rt.spawn(deps, move || {
-                    let work = || {
+                    timed(Phase::Unpack, || {
                         slice.with_read(|payload| {
                             unpack_transfer(&layout, &dst, &t, vars2.clone(), payload)
-                        });
-                    };
-                    match &tr {
-                        Some(trc) => trc.record(Kind::Unpack, work),
-                        None => work(),
-                    }
+                        })
+                    });
                 });
             }
         }

@@ -15,9 +15,9 @@ use crate::rank::{
     unpack_transfer, RankState,
 };
 use crate::stats::{RunStats, Stopwatch};
-use crate::trace::{Kind, Trace};
 use crate::variant::{checksum_remote_blocks, record_validation, Buffers};
 use amr_mesh::block_id::Dir;
+use obs::span::{timed, Phase};
 use vmpi::{Comm, RequestSet};
 
 /// Runs the MPI-only variant on one rank, start to finish.
@@ -45,10 +45,6 @@ pub(crate) fn run_span(
         ts_start,
         resumed,
     ) = SpanStart::unpack(start, cfg, &comm);
-    let trace = match stats.trace.take() {
-        t @ Some(_) => t,
-        None => cfg.trace.then(Trace::new),
-    };
     let gmax = cfg.var_group(0).len();
 
     let total_sw = Stopwatch::start();
@@ -90,27 +86,13 @@ pub(crate) fn run_span(
             for g in 0..cfg.num_groups() {
                 let vars = cfg.var_group(g);
                 let sw = Stopwatch::start();
-                communicate(
-                    &state,
-                    &comm,
-                    &plan,
-                    &bufs,
-                    vars.clone(),
-                    &mut stats,
-                    trace.as_ref(),
-                );
+                communicate(&state, &comm, &plan, &bufs, vars.clone(), &mut stats);
                 sw.stop(&mut stats.times.communicate);
 
                 let sw = Stopwatch::start();
                 for block in state.blocks.values() {
-                    let t = trace.as_ref();
-                    let flops = match t {
-                        Some(tr) => {
-                            tr.record(Kind::Stencil, || state.stencil_block(block, vars.clone()))
-                        }
-                        None => state.stencil_block(block, vars.clone()),
-                    };
-                    stats.flops += flops;
+                    stats.flops +=
+                        timed(Phase::Stencil, || state.stencil_block(block, vars.clone()));
                 }
                 sw.stop(&mut stats.times.stencil);
             }
@@ -118,12 +100,9 @@ pub(crate) fn run_span(
                 let sw = Stopwatch::start();
                 let nv = cfg.params.num_vars;
                 let (ids, per_block) = state.block_checksums(0..nv);
-                let total = match trace.as_ref() {
-                    Some(tr) => tr.record(Kind::ChecksumRemote, || {
-                        checksum_remote_blocks(&comm, &ids, &per_block, nv)
-                    }),
-                    None => checksum_remote_blocks(&comm, &ids, &per_block, nv),
-                };
+                let total = timed(Phase::ChecksumRemote, || {
+                    checksum_remote_blocks(&comm, &ids, &per_block, nv)
+                });
                 let cells = (state.dir.len() * cfg.params.cells_per_block()) as f64;
                 record_validation(
                     &mut stats,
@@ -156,7 +135,6 @@ pub(crate) fn run_span(
     total_sw.stop(&mut stats.times.total);
     stats.final_blocks = state.blocks.len();
     stats.pool = state.pool.stats();
-    stats.trace = trace;
     let carry = SpanCarry {
         stage_counter,
         mesh_epoch,
@@ -175,7 +153,6 @@ fn communicate(
     bufs: &Buffers,
     vars: std::ops::Range<usize>,
     stats: &mut RunStats,
-    trace: Option<&Trace>,
 ) {
     let g = vars.len();
     for dir in Dir::ALL {
@@ -200,7 +177,7 @@ fn communicate(
             for t in &m.transfers {
                 let lo = (m.send_offset + t.offset_in_msg) * g;
                 let slice = bufs.send[d].slice(lo..lo + transfer_payload_elems(t, g));
-                let pack = || {
+                timed(Phase::Pack, || {
                     slice.with_write(|dst| {
                         pack_transfer_into(
                             &state.layout,
@@ -210,11 +187,7 @@ fn communicate(
                             dst,
                         )
                     })
-                };
-                match trace {
-                    Some(tr) => tr.record(Kind::Pack, pack),
-                    None => pack(),
-                }
+                });
             }
             let lo = m.send_offset * g;
             let hi = lo + m.elems_per_var * g;
@@ -236,12 +209,9 @@ fn communicate(
         {
             let src = state.block(&t.src_block);
             let dst = state.block(&t.dst_block);
-            match trace {
-                Some(tr) => tr.record(Kind::LocalCopy, || {
-                    apply_local_transfer(&state.layout, src, dst, t, vars.clone(), &state.pool)
-                }),
-                None => apply_local_transfer(&state.layout, src, dst, t, vars.clone(), &state.pool),
-            }
+            timed(Phase::LocalCopy, || {
+                apply_local_transfer(&state.layout, src, dst, t, vars.clone(), &state.pool)
+            });
         }
         for (block, bdir, side) in plan
             .boundaries
@@ -259,36 +229,24 @@ fn communicate(
 
         // Waitany loop: unpack each message as it arrives.
         let mut set = RequestSet::new(reqs);
-        loop {
-            let next = match trace {
-                Some(tr) => tr.record(Kind::Wait, || set.waitany()),
-                None => set.waitany(),
-            };
-            let Some((idx, _status)) = next else { break };
+        while let Some((idx, _status)) = timed(Phase::Wait, || set.waitany()) {
             let m = inbound[idx];
             for t in &m.transfers {
                 let lo = (m.recv_offset + t.offset_in_msg) * g;
                 let slice = bufs.recv[d].slice(lo..lo + transfer_payload_elems(t, g));
                 let dst = state.block(&t.dst_block);
-                let unpack = || {
+                timed(Phase::Unpack, || {
                     slice.with_read(|payload| {
                         unpack_transfer(&state.layout, dst, t, vars.clone(), payload)
                     })
-                };
-                match trace {
-                    Some(tr) => tr.record(Kind::Unpack, unpack),
-                    None => unpack(),
-                }
+                });
             }
         }
 
         // Wait for the sends before reusing the buffers for the next
         // direction.
         for r in send_reqs {
-            match trace {
-                Some(tr) => tr.record(Kind::Wait, || r.wait()),
-                None => r.wait(),
-            };
+            timed(Phase::Wait, || r.wait());
         }
     }
 }

@@ -21,7 +21,6 @@ fn four_rank_dataflow_exports_merged_chrome_trace() {
     cfg.params.npz = 1;
     cfg.variant = Variant::DataFlow;
     cfg.num_tsteps = 2;
-    cfg.trace = true;
     let n_ranks = cfg.params.num_ranks();
     assert_eq!(n_ranks, 4);
 

@@ -1,8 +1,8 @@
 //! End-to-end causal-analyzer test: a 4-rank data-flow run must produce
 //! a schema-valid perf report whose per-timestep critical paths explain
-//! wall-clock exactly, whose per-rank overlap agrees with the legacy
-//! recorder, and whose message nodes stitch sends to deliveries across
-//! ranks (the Perfetto flow arrows).
+//! wall-clock exactly, which attributes every rank, and whose message
+//! nodes stitch sends to deliveries across ranks (the Perfetto flow
+//! arrows).
 //!
 //! Lives in its own integration-test binary: enabling the bus is
 //! process-global and sticky, so it must not leak into other tests.
@@ -14,8 +14,8 @@ use vmpi::NetworkModel;
 
 #[test]
 fn four_rank_dataflow_perf_report_is_schema_valid_and_consistent() {
-    // Size the rings so nothing is dropped — the parity assertions below
-    // require the analyzer and the recorder to see the same intervals.
+    // Size the rings so nothing is dropped — the telescoping and flow
+    // assertions below need the whole stream.
     obs::enable_with_capacity(1 << 18);
 
     let mut cfg = Config::smoke_test();
@@ -24,7 +24,6 @@ fn four_rank_dataflow_perf_report_is_schema_valid_and_consistent() {
     cfg.params.npz = 1;
     cfg.variant = Variant::DataFlow;
     cfg.num_tsteps = 2;
-    cfg.trace = true;
     let n_ranks = cfg.params.num_ranks();
     assert_eq!(n_ranks, 4);
 
@@ -72,6 +71,7 @@ fn four_rank_dataflow_perf_report_is_schema_valid_and_consistent() {
     obs::json::validate(&json).expect("perf report must be valid JSON");
     assert!(json.contains("\"schema\":\"miniamr-perf-report\""));
     assert!(json.contains("\"version\":1"));
+    assert!(json.contains("\"largest_gap_us\""));
     assert!(!report.human_summary().is_empty());
 
     // --- Critical path explains wall-clock -----------------------------
@@ -94,24 +94,6 @@ fn four_rank_dataflow_perf_report_is_schema_valid_and_consistent() {
         assert!(ts.nodes > 0, "timestep {} walked no nodes", ts.tstep);
     }
 
-    // --- Overlap parity with the legacy recorder ------------------------
+    // --- Every rank attributed ------------------------------------------
     assert_eq!(report.ranks_detail.len(), n_ranks);
-    for s in &stats {
-        let recorder = s
-            .trace
-            .as_ref()
-            .expect("tracing enabled")
-            .overlap_fraction();
-        let analyzer = report
-            .ranks_detail
-            .iter()
-            .find(|r| r.rank == s.rank as u32)
-            .unwrap_or_else(|| panic!("rank {} missing from report", s.rank))
-            .overlap_fraction;
-        assert!(
-            (recorder - analyzer).abs() <= 0.02,
-            "rank {} overlap mismatch: recorder {recorder:.3} vs analyzer {analyzer:.3}",
-            s.rank
-        );
-    }
 }

@@ -2,9 +2,9 @@
 //!
 //! One enum covers every layer: task lifecycle (taskrt), message
 //! lifecycle (vmpi), event holds (tampi via taskrt), and coarse phase
-//! spans (the `core` trace recorder). Variants carry only `Copy` payloads
-//! plus `&'static str` labels so an [`Event`] is small and cheap to move
-//! through the ring buffers.
+//! spans (`span::timed` in the miniAMR variants). Variants carry only
+//! `Copy` payloads plus `&'static str` labels so an [`Event`] is small
+//! and cheap to move through the ring buffers.
 
 /// Lane id of a rank's main thread (outside any task worker).
 pub const LANE_MAIN: u32 = u32::MAX;
@@ -266,8 +266,9 @@ pub enum EventData {
         /// Tasks covered by the transition.
         tasks: u32,
     },
-    /// core: a coarse phase interval recorded by the `Trace` recorder
-    /// (stencil, pack, unpack, ... — the Fig. 1–3 palette).
+    /// core: a coarse phase interval recorded by `span::timed`
+    /// (stencil, pack, unpack, ... — the Fig. 1–3 palette of
+    /// `span::Phase`).
     Span {
         /// Phase kind name.
         kind: &'static str,

@@ -19,11 +19,14 @@
 //! per-timestep critical paths; [`crate::report`] folds the same graph
 //! into per-rank busy/idle/overlap attribution.
 //!
-//! The module also hosts [`overlap_fraction`], the sweep-line
-//! "fraction of busy time with ≥ 2 distinct kinds active" measure. It is
-//! the single source of truth: `core`'s `Trace::overlap_fraction`
-//! delegates here, and the per-rank report numbers come from the same
-//! function over the same `Span` events.
+//! The module also owns the coarse phase palette of the paper's
+//! Figs. 1–3: [`Phase`] names the work kinds, [`timed`] records one
+//! phase interval as an `EventData::Span` on the bus, and
+//! [`SpanGraph::phase_totals`], [`SpanGraph::render_ascii`] and
+//! [`RankStats`] (overlap via the sweep-line [`overlap_fraction`],
+//! largest idle gap) read those spans back. One stream, one set of
+//! readers: the CLI report and the `trace_figs` harness print the same
+//! numbers.
 
 use crate::event::{Event, EventData};
 use std::collections::HashMap;
@@ -81,6 +84,106 @@ impl Category {
         }
         Category::Runtime
     }
+}
+
+/// Kind of phase work, mirroring the task palette of Figs. 1 and 3.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// Stencil sweep over one block.
+    Stencil,
+    /// Face pack into a send buffer.
+    Pack,
+    /// Face unpack from a receive buffer.
+    Unpack,
+    /// Send operation (issue + in-flight binding).
+    Send,
+    /// Receive operation.
+    Recv,
+    /// Intra-process neighbor copy.
+    LocalCopy,
+    /// Local checksum reduction.
+    ChecksumLocal,
+    /// Global checksum reduction + validation.
+    ChecksumRemote,
+    /// Refinement: split/coarsen data copies.
+    RefineCopy,
+    /// Refinement: block exchange (pack/send/recv/unpack of whole
+    /// blocks).
+    RefineExchange,
+    /// Waitany/waitall progress loops (MPI-only; the green regions of
+    /// Fig. 2).
+    Wait,
+}
+
+impl Phase {
+    /// Every phase, in timeline lane order.
+    pub const ALL: [Phase; 11] = [
+        Phase::Stencil,
+        Phase::Pack,
+        Phase::Unpack,
+        Phase::Send,
+        Phase::Recv,
+        Phase::LocalCopy,
+        Phase::ChecksumLocal,
+        Phase::ChecksumRemote,
+        Phase::RefineCopy,
+        Phase::RefineExchange,
+        Phase::Wait,
+    ];
+
+    /// Short stable name: the `kind` of the phase's `Span` events.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Phase::Stencil => "stencil",
+            Phase::Pack => "pack",
+            Phase::Unpack => "unpack",
+            Phase::Send => "send",
+            Phase::Recv => "recv",
+            Phase::LocalCopy => "local_copy",
+            Phase::ChecksumLocal => "checksum_local",
+            Phase::ChecksumRemote => "checksum_remote",
+            Phase::RefineCopy => "refine_copy",
+            Phase::RefineExchange => "refine_exchange",
+            Phase::Wait => "wait",
+        }
+    }
+
+    /// Timeline glyph of [`SpanGraph::render_ascii`].
+    fn glyph(&self) -> char {
+        match self {
+            Phase::Stencil => 'S',
+            Phase::Pack => 'p',
+            Phase::Unpack => 'u',
+            Phase::Send => '>',
+            Phase::Recv => '<',
+            Phase::LocalCopy => 'c',
+            Phase::ChecksumLocal => 'k',
+            Phase::ChecksumRemote => 'K',
+            Phase::RefineCopy => 'r',
+            Phase::RefineExchange => 'x',
+            Phase::Wait => 'w',
+        }
+    }
+}
+
+/// Runs `f` as one interval of `phase`. With the bus enabled the
+/// interval is emitted as an `EventData::Span` in bus time, attributed
+/// to the calling thread's rank and lane; disabled, this is one relaxed
+/// load and a branch around `f`.
+#[inline]
+pub fn timed<R>(phase: Phase, f: impl FnOnce() -> R) -> R {
+    let Some(bus) = crate::bus() else {
+        return f();
+    };
+    let start_us = bus.now_us();
+    let out = f();
+    let end_us = bus.now_us();
+    bus.emit(EventData::Span {
+        kind: phase.name(),
+        start_us,
+        end_us,
+    });
+    out
 }
 
 /// One task's lifetime as seen by the analyzer.
@@ -173,6 +276,11 @@ pub struct RankStats {
     pub waits: u64,
     /// Total parked time, microseconds.
     pub wait_us: u64,
+    /// Largest hole between this rank's busy intervals, microseconds
+    /// (the "blank spaces" of Fig. 3, which the paper bounds at ~3 ms).
+    /// Idle time before the first and after the last interval is not a
+    /// gap.
+    pub largest_gap_us: u64,
 }
 
 /// The assembled cross-rank span graph.
@@ -324,7 +432,8 @@ impl SpanGraph {
     /// Per-rank busy/idle/overlap attribution, sorted by rank.
     pub fn rank_stats(&self) -> Vec<RankStats> {
         // Busy intervals per rank: task bodies plus coarse spans (the
-        // union de-duplicates the task-inside-span case).
+        // union de-duplicates the task-inside-span case). Zero-length
+        // spans are sub-µs work: they add no busy time but do close gaps.
         let mut busy: HashMap<u32, Vec<(u64, u64)>> = HashMap::new();
         let mut tasks_per: HashMap<u32, u64> = HashMap::new();
         for t in self.tasks.values() {
@@ -334,7 +443,7 @@ impl SpanGraph {
             }
         }
         for &(rank, _, s, e) in &self.spans {
-            if e > s {
+            if e >= s {
                 busy.entry(rank).or_default().push((s, e));
             }
         }
@@ -343,7 +452,7 @@ impl SpanGraph {
         let mut out = Vec::with_capacity(ranks.len());
         for rank in ranks {
             let intervals = &busy[&rank];
-            let busy_us = union_len(intervals.clone());
+            let (busy_us, largest_gap_us) = union_and_gap(intervals.clone());
             let lo = intervals.iter().map(|&(s, _)| s).min().unwrap_or(0);
             let hi = intervals.iter().map(|&(_, e)| e).max().unwrap_or(0);
             let (waits, wait_us) = self
@@ -361,15 +470,85 @@ impl SpanGraph {
                 tasks: tasks_per.get(&rank).copied().unwrap_or(0),
                 waits,
                 wait_us,
+                largest_gap_us,
             });
         }
         out
     }
 
+    /// Total `Span` time per phase on one rank, in [`Phase::ALL`] order;
+    /// phases with no span on the rank are omitted.
+    pub fn phase_totals(&self, rank: u32) -> Vec<(Phase, u64)> {
+        Phase::ALL
+            .iter()
+            .filter_map(|&p| {
+                let lens: Vec<u64> = self
+                    .spans
+                    .iter()
+                    .filter(|&&(r, k, ..)| r == rank && k == p.name())
+                    .map(|&(.., s, e)| e.saturating_sub(s))
+                    .collect();
+                (!lens.is_empty()).then(|| (p, lens.iter().sum()))
+            })
+            .collect()
+    }
+
+    /// Renders one rank's phase spans as a Paraver-style ASCII timeline:
+    /// one lane per [`Phase`] that occurs, a glyph per time bucket in
+    /// which at least one span of that phase was active, over the rank's
+    /// first-start..last-end range. The textual counterpart of the
+    /// paper's Figs. 1–3.
+    pub fn render_ascii(&self, rank: u32, width: usize) -> String {
+        let spans: Vec<(&'static str, u64, u64)> = self
+            .spans
+            .iter()
+            .filter(|&&(r, ..)| r == rank)
+            .map(|&(_, k, s, e)| (k, s, e))
+            .collect();
+        let lo = spans.iter().map(|&(_, s, _)| s).min().unwrap_or(0);
+        let hi = spans.iter().map(|&(.., e)| e).max().unwrap_or(0);
+        if hi <= lo || width == 0 {
+            return String::from("(empty trace)\n");
+        }
+        // Integer bucket math: bucket b covers the half-open time range
+        // [lo + b*total/width, lo + (b+1)*total/width). A span ending
+        // exactly on a bucket boundary does not spill into the next
+        // bucket, and a zero-length span inside the range still gets one
+        // glyph.
+        let total = (hi - lo) as u128;
+        let mut out = String::new();
+        for phase in Phase::ALL {
+            let mut lane = vec![' '; width];
+            let mut any = false;
+            for &(_, s, e) in spans.iter().filter(|&&(k, ..)| k == phase.name()) {
+                let b = ((s - lo) as u128 * width as u128 / total) as usize;
+                if b >= width {
+                    continue;
+                }
+                let end = (((e - lo) as u128 * width as u128).div_ceil(total) as usize)
+                    .clamp(b + 1, width);
+                lane[b..end].fill(phase.glyph());
+                any = true;
+            }
+            if any {
+                out.push_str(&format!("{:>14} |", format!("{phase:?}")));
+                out.extend(lane);
+                out.push_str("|\n");
+            }
+        }
+        out.push_str(&format!(
+            "{:>14} |{}|\n",
+            "",
+            (0..width)
+                .map(|i| if i % 10 == 0 { '+' } else { '-' })
+                .collect::<String>()
+        ));
+        out
+    }
+
     /// Sweep-line overlap fraction for one rank. Prefers the coarse
-    /// `Span` events (exactly what `core::trace::Trace` records, so the
-    /// two agree); ranks traced without the recorder fall back to task
-    /// intervals keyed by label.
+    /// phase `Span` events (see [`timed`]); ranks without any fall back
+    /// to task intervals keyed by label.
     pub fn rank_overlap(&self, rank: u32) -> f64 {
         let mut kinds: HashMap<&'static str, u32> = HashMap::new();
         let intern = |k: &'static str, kinds: &mut HashMap<&'static str, u32>| -> u32 {
@@ -403,33 +582,33 @@ impl SpanGraph {
     }
 }
 
-/// Total length of the union of half-open intervals.
-fn union_len(mut intervals: Vec<(u64, u64)>) -> u64 {
+/// Total length of the union of half-open intervals, and the largest
+/// hole between them (leading and trailing idle excluded). `None` is the
+/// "nothing seen yet" state: a zero-length interval at t = 0 still sets
+/// the horizon.
+fn union_and_gap(mut intervals: Vec<(u64, u64)>) -> (u64, u64) {
     intervals.sort_unstable();
-    let mut total = 0u64;
-    let mut horizon = 0u64;
-    let mut started = false;
+    let (mut total, mut gap) = (0u64, 0u64);
+    let mut horizon: Option<u64> = None;
     for (s, e) in intervals {
-        if !started || s > horizon {
-            total += e.saturating_sub(s);
-            horizon = e;
-            started = true;
-        } else if e > horizon {
-            total += e - horizon;
-            horizon = e;
-        }
+        let from = match horizon {
+            Some(h) if s <= h => h,
+            Some(h) => {
+                gap = gap.max(s - h);
+                s
+            }
+            None => s,
+        };
+        total += e.saturating_sub(from);
+        horizon = Some(from.max(e));
     }
-    total
+    (total, gap)
 }
 
 /// Fraction of busy time during which at least two spans of *different*
 /// kinds were active — the "phases overlap" measure of the paper's
 /// Fig. 3. Spans are `(kind_id, start, end)` in any consistent time
 /// unit; returns 0 for fewer than two spans or zero busy time.
-///
-/// This is the sweep-line from `core::trace::Trace::overlap_fraction`,
-/// lifted here so the analyzer and the legacy recorder share one
-/// implementation (the recorder now delegates to this).
 pub fn overlap_fraction(spans: &[(u32, u64, u64)]) -> f64 {
     if spans.len() < 2 {
         return 0.0;
@@ -935,10 +1114,99 @@ mod tests {
     }
 
     #[test]
-    fn union_len_merges() {
-        assert_eq!(union_len(vec![(0, 10), (5, 15), (20, 25)]), 20);
-        assert_eq!(union_len(vec![]), 0);
-        assert_eq!(union_len(vec![(3, 3)]), 0);
+    fn union_merges_and_measures_gaps() {
+        assert_eq!(union_and_gap(vec![(0, 10), (5, 15), (20, 25)]), (20, 5));
+        assert_eq!(union_and_gap(vec![]), (0, 0));
+        assert_eq!(union_and_gap(vec![(3, 3)]), (0, 0));
+        // Out of order, as concurrent workers emit them.
+        assert_eq!(union_and_gap(vec![(20, 22), (1, 4)]), (5, 16));
+        // Identical and instantaneous intervals leave no gap.
+        assert_eq!(union_and_gap(vec![(1, 9), (1, 9)]), (8, 0));
+        assert_eq!(union_and_gap(vec![(5, 5), (5, 5)]), (0, 0));
+    }
+
+    #[test]
+    fn gap_ignores_leading_idle_and_contained_intervals() {
+        // Idle before the first interval is not a gap; an interval fully
+        // contained in another does not shrink the horizon.
+        let (_, gap) = union_and_gap(vec![(10, 30), (12, 14), (35, 36)]);
+        assert_eq!(gap, 5);
+    }
+
+    #[test]
+    fn gap_after_zero_length_interval_at_time_zero() {
+        // Regression: with `horizon == 0` standing for "nothing seen
+        // yet", a zero-length interval at t = 0 followed by a 10 ms gap
+        // reported no gap at all.
+        assert_eq!(union_and_gap(vec![(0, 0), (10_000, 10_010)]), (10, 10_000));
+    }
+
+    fn span(seq: u64, rank: u32, phase: Phase, start_us: u64, end_us: u64) -> Event {
+        ev(
+            seq,
+            end_us,
+            rank,
+            EventData::Span {
+                kind: phase.name(),
+                start_us,
+                end_us,
+            },
+        )
+    }
+
+    #[test]
+    fn phase_totals_and_rank_gap_come_from_spans() {
+        let g = SpanGraph::build(&[
+            span(1, 0, Phase::Stencil, 0, 5_000),
+            span(2, 0, Phase::Pack, 5_000, 7_000),
+            span(3, 0, Phase::Stencil, 17_000, 18_000),
+            span(4, 1, Phase::Unpack, 0, 1),
+        ]);
+        assert_eq!(
+            g.phase_totals(0),
+            vec![(Phase::Stencil, 6_000), (Phase::Pack, 2_000)]
+        );
+        assert_eq!(g.phase_totals(1), vec![(Phase::Unpack, 1)]);
+        let stats = g.rank_stats();
+        assert_eq!(stats[0].largest_gap_us, 10_000);
+        assert_eq!(stats[0].busy_us, 8_000);
+        assert_eq!(stats[1].largest_gap_us, 0);
+    }
+
+    #[test]
+    fn ascii_timeline_shows_active_phases_only() {
+        let g = SpanGraph::build(&[
+            span(1, 0, Phase::Stencil, 0, 4_000),
+            span(2, 0, Phase::Pack, 4_000, 8_000),
+        ]);
+        let art = g.render_ascii(0, 40);
+        assert!(art.contains("Stencil") && art.contains("Pack"), "{art}");
+        assert!(art.contains('S') && art.contains('p'));
+        assert!(!art.contains("RefineCopy"));
+        assert!(g.render_ascii(1, 40).contains("empty"));
+        assert!(SpanGraph::default().render_ascii(0, 40).contains("empty"));
+    }
+
+    #[test]
+    fn ascii_buckets_stay_in_range() {
+        // A span covering exactly the last tenth fills only the final
+        // column; one ending on a bucket boundary does not spill into the
+        // next; a zero-length span inside the range draws one glyph.
+        let g = SpanGraph::build(&[
+            span(1, 0, Phase::Stencil, 9_000, 10_000),
+            span(2, 0, Phase::Pack, 0, 1_000),
+            span(3, 0, Phase::Send, 5_000, 5_000),
+        ]);
+        let art = g.render_ascii(0, 10);
+        let lane = |name: &str| {
+            art.lines()
+                .find(|l| l.contains(name))
+                .map(|l| l.split('|').nth(1).unwrap().to_string())
+                .unwrap()
+        };
+        assert_eq!(lane("Stencil"), "         S");
+        assert_eq!(lane("Pack"), "p         ");
+        assert_eq!(lane("Send"), "     >    ");
     }
 
     #[test]
