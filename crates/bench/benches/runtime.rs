@@ -21,26 +21,10 @@ fn bench_task_spawn(c: &mut Criterion) {
             criterion::BatchSize::PerIteration,
         );
     });
-    // Steady-state AMR shape: a persistent runtime re-submitting the
-    // same chained stream every iteration inside a trace scope. After
-    // the stream stabilizes (3 recordings) the edges replay from the
-    // frozen trace, skipping the claim table's O(n²) conflict scans —
-    // the fastest-sample estimator reports the replayed iterations.
-    g.bench_function("spawn_1000_chained", |bench| {
-        let rt = Runtime::new(2);
-        let obj = ObjId::fresh();
-        bench.iter(|| {
-            let scope = rt.trace_scope(1);
-            for _ in 0..1000 {
-                rt.task().inout(Region::new(obj, 0..1)).body(|| {}).spawn();
-            }
-            drop(scope);
-            rt.taskwait();
-        });
-    });
-    // The pre-replay shape (fresh runtime each iteration, no scope):
-    // every spawn takes full claim-table analysis. Baseline for the
-    // replay-off regression check.
+    // A 1000-task inout chain on one object, fresh runtime each
+    // iteration: every spawn scans the object's live accesses. The name
+    // is historical, kept so the bench compares against its own
+    // BENCH_*.json history.
     g.bench_function("spawn_1000_chained_noreplay", |bench| {
         bench.iter_batched(
             || (Runtime::new(2), ObjId::fresh()),

@@ -59,9 +59,6 @@ fn usage() -> ! {
                                       per-face messages into one flow per
                                       direction above the eager threshold
                                       (default off)
-  --replay {{on|off}}                   task-graph trace & replay cache: reuse
-                                      dependency edges across identical
-                                      timesteps (dataflow; default on)
   --stencil {{7|27}}                    stencil kind (default 7)
   --trace-json PATH                   write a merged Chrome trace_event JSON
                                       (all ranks; load in Perfetto/about:tracing)
@@ -419,8 +416,8 @@ fn main() {
     } else {
         // Multi-job soak: each job runs the full scenario on its own
         // world in its own thread. The JobCtx keys the checkpoint store,
-        // recovery hook, boundary snapshots and replay-trace epoch, and
-        // offsets obs ranks so the jobs get disjoint trace lanes.
+        // recovery hook and boundary snapshots, and offsets obs ranks so
+        // the jobs get disjoint trace lanes.
         let handles: Vec<_> = (0..jobs)
             .map(|j| {
                 let mut jcfg = cfg.clone();
@@ -502,18 +499,8 @@ fn main() {
     println!("blocks_moved\t{moved}");
     println!("msgs_sent\t{msgs}");
     let spawned: u64 = stats.iter().map(|s| s.tasks_spawned).sum();
-    let replayed: u64 = stats.iter().map(|s| s.tasks_replayed).sum();
     if spawned > 0 {
         println!("tasks_spawned\t{spawned}");
-        println!("tasks_replayed\t{replayed}");
-        println!(
-            "trace_hits\t{}",
-            stats.iter().map(|s| s.trace_hits).sum::<u64>()
-        );
-        println!(
-            "trace_invalidations\t{}",
-            stats.iter().map(|s| s.trace_invalidations).sum::<u64>()
-        );
     }
     let pool_hits: u64 = stats.iter().map(|s| s.pool.hits).sum();
     let pool_misses: u64 = stats.iter().map(|s| s.pool.misses).sum();

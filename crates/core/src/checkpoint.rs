@@ -329,15 +329,6 @@ pub fn install_recovery_hook() {
         match store_for(report.job).latest(report.reporter) {
             Some(ck) => {
                 let restored = ck.restore();
-                // Restored state resumes with pre-restore block uids and
-                // plans gone: any cached task trace is structurally
-                // stale. Bump the owning job's epoch (observed at
-                // trace-scope boundaries); with no job handle, fall back
-                // to the process-global epoch.
-                match ck.cfg.job.as_ref() {
-                    Some(job) => job.invalidate_traces(),
-                    None => taskrt::invalidate_all_traces(),
-                }
                 // Test-only fault injection: corrupt one restored cell so
                 // CI can pin the mismatch-escalation path without a way
                 // to corrupt a live store from outside the process.

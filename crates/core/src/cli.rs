@@ -44,8 +44,6 @@ pub struct ScenarioArgs {
     pub balance: BalanceKind,
     /// Worker threads per rank.
     pub workers: usize,
-    /// Task-graph trace & replay cache.
-    pub replay: bool,
     /// Stencil kind.
     pub stencil: amr_mesh::stencil::StencilKind,
     /// Checkpoint period in stages.
@@ -96,7 +94,6 @@ impl Default for ScenarioArgs {
             delayed_checksum: false,
             balance: BalanceKind::Sfc,
             workers: 2,
-            replay: true,
             stencil: amr_mesh::stencil::StencilKind::SevenPoint,
             ckpt_freq: 0,
             coll: vmpi::CollAlgo::Flat,
@@ -170,13 +167,6 @@ impl ScenarioArgs {
                 }
             }
             "--workers" => self.workers = num(args, i, f)?,
-            "--replay" => {
-                self.replay = match val(args, i, f)?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    v => return Err(format!("--replay: expected on|off, got {v}")),
-                }
-            }
             "--stencil" => {
                 self.stencil = match val(args, i, f)?.as_str() {
                     "7" => amr_mesh::stencil::StencilKind::SevenPoint,
@@ -227,7 +217,6 @@ impl ScenarioArgs {
         cfg.delayed_checksum = self.delayed_checksum;
         cfg.balance = self.balance;
         cfg.workers = self.workers;
-        cfg.replay = self.replay;
         cfg.stencil = self.stencil;
         cfg.ckpt_freq = self.ckpt_freq;
         cfg.coll = self.coll;

@@ -278,17 +278,6 @@ fn common_boundary(job: u64, n: usize) -> Option<Vec<BoundarySnap>> {
     )
 }
 
-/// Bumps the replay-trace epoch the run's runtimes observe: the owning
-/// job's epoch if there is a job handle, the process-global epoch
-/// otherwise. Every resize/restore crosses block-uid and buffer-object
-/// renames, so any cached trace is structurally stale.
-fn bump_trace_epoch(cfg: &Config) {
-    match cfg.job.as_ref() {
-        Some(job) => job.invalidate_traces(),
-        None => taskrt::invalidate_all_traces(),
-    }
-}
-
 /// Runs one world segment of `[..ts_end)` and returns per-rank
 /// `(stats, carry)`, or the peer-lost reports if the world aborted.
 fn run_segment(
@@ -414,7 +403,6 @@ pub fn run(cfg: &Config, n_ranks: usize, net: NetworkModel, opts: &ElasticOpts) 
                         ))
                     })
                     .collect();
-                bump_trace_epoch(cfg);
                 let states = checkpoint::redistribute(&ckpts, new_n, cfg.balance);
                 starts = states
                     .into_iter()
@@ -464,7 +452,6 @@ pub fn run(cfg: &Config, n_ranks: usize, net: NetworkModel, opts: &ElasticOpts) 
                 let resume_ts = snaps[0].next_ts;
                 let ckpts: Vec<Arc<RankCheckpoint>> =
                     snaps.iter().map(|s| Arc::clone(&s.ck)).collect();
-                bump_trace_epoch(cfg);
                 let states = checkpoint::redistribute(&ckpts, new_n, cfg.balance);
                 starts = states
                     .into_iter()

@@ -93,15 +93,11 @@ pub(crate) fn run_rank_span(
     ectx: Option<&elastic::ElasticCtx>,
 ) -> (RunStats, elastic::SpanCarry) {
     obs::set_thread_rank(cfg.obs_rank(comm.rank()));
-    let (mut stats, carry) = match cfg.variant {
+    match cfg.variant {
         Variant::MpiOnly => variant::mpi_only::run_span(cfg, comm, start, ts_end, ectx),
         Variant::ForkJoin => variant::fork_join::run_span(cfg, comm, start, ts_end, ectx),
         Variant::DataFlow => variant::dataflow::run_span(cfg, comm, start, ts_end, ectx),
-    };
-    if obs::is_enabled() {
-        stats.metrics = obs::metrics().snapshot();
     }
-    (stats, carry)
 }
 
 /// Convenience: builds a world of `n_ranks` and runs the configured

@@ -55,21 +55,17 @@ pub struct RunStats {
     pub checkpoints_taken: usize,
     /// Tasks spawned (hybrid variants).
     pub tasks_spawned: u64,
-    /// Tasks whose dependency edges came from a replayed trace (DataFlow
-    /// with `--replay on`).
+    /// Always 0: the runtime analyses every spawn afresh and never
+    /// replays a cached task graph. Kept so existing readers of the
+    /// stats (the end-to-end benchmark) still compile.
     pub tasks_replayed: u64,
-    /// Trace-scope iterations replayed entirely from a frozen trace.
+    /// Always 0 (no task-graph cache; see `tasks_replayed`).
     pub trace_hits: u64,
-    /// Trace invalidations (regrid / repartition / restore).
+    /// Always 0 (no task-graph cache; see `tasks_replayed`).
     pub trace_invalidations: u64,
     /// Buffer-pool reuse counters at the end of the run (hit rate ≈ 1
     /// once the pool is warm — allocation-free steady state).
     pub pool: shmem::PoolStats,
-    /// Snapshot of the global runtime metrics registry taken when this
-    /// rank finished (empty unless observability is enabled). The
-    /// registry is process-wide, so counters aggregate over *all* ranks;
-    /// the final rank's snapshot is the complete picture.
-    pub metrics: Vec<(&'static str, i64)>,
 }
 
 impl RunStats {

@@ -65,8 +65,6 @@ pub(crate) fn run_span(
     let rt = Arc::new(Runtime::with_config(taskrt::RuntimeConfig {
         workers: cfg.workers.max(1),
         immediate_successor: cfg.immediate_successor,
-        replay: cfg.replay,
-        trace_epoch: cfg.job.as_ref().map(|j| Arc::clone(&j.trace_epoch)),
     }));
     let comm = Arc::new(comm);
     rt.set_obs_rank(cfg.obs_rank(comm.rank()));
@@ -81,9 +79,6 @@ pub(crate) fn run_span(
     ) = SpanStart::unpack(start, cfg, &comm);
     let gmax = cfg.var_group(0).len();
     let spawned_before = stats.tasks_spawned;
-    let replayed_before = stats.tasks_replayed;
-    let hits_before = stats.trace_hits;
-    let invalidations_before = stats.trace_invalidations;
     let flops_before = stats.flops;
 
     let total_sw = Stopwatch::start();
@@ -107,8 +102,8 @@ pub(crate) fn run_span(
     // checkpoint, still possibly being produced by in-flight tasks.
     let mut pending: Option<PendingChecksum> = None;
     // One persistent dependency object for every checkpoint's checksum
-    // slots: a fresh ObjId per checkpoint would make each timestep's
-    // submission stream structurally unique and defeat trace replay.
+    // slots. Because it is shared, the delayed validation below waits
+    // before the next checkpoint's local sums are spawned.
     let checksum_obj = ObjId::fresh();
     let flops = Arc::new(AtomicU64::new(0));
 
@@ -147,10 +142,6 @@ pub(crate) fn run_span(
                 obs::EventData::TimestepMark { tstep: ts as u32 },
             );
         }
-        // One trace scope per timestep: after the stream stabilizes
-        // (unchanged mesh and plan), dependency edges replay from the
-        // cached trace instead of re-running claim-table analysis.
-        let ts_scope = rt.trace_scope(0);
         for _stage in 0..cfg.stages_per_ts {
             stage_counter += 1;
             for g in 0..cfg.num_groups() {
@@ -217,7 +208,6 @@ pub(crate) fn run_span(
                 );
             }
         }
-        drop(ts_scope);
         if (ts + 1) % cfg.refine_freq == 0 {
             let sw = Stopwatch::start();
             // Explicit barrier before refinement (Algorithm 4).
@@ -234,9 +224,6 @@ pub(crate) fn run_span(
             mesh_epoch += 1;
             plan = Arc::new(CommPlan::build(cfg, &state.dir, state.n_ranks));
             bufs = Buffers::alloc(&plan, state.rank, gmax, cfg.separate_buffers);
-            // Regrid/load-balance changed block uids and buffer objects:
-            // every cached trace is structurally stale.
-            rt.invalidate_traces();
             sw.stop(&mut stats.times.refine);
         }
     }
@@ -272,11 +259,7 @@ pub(crate) fn run_span(
     }
     total_sw.stop(&mut stats.times.total);
     stats.flops = flops_before + flops.load(Ordering::Relaxed);
-    let rts = rt.stats();
-    stats.tasks_spawned = spawned_before + rts.spawned;
-    stats.tasks_replayed = replayed_before + rts.replayed_tasks;
-    stats.trace_hits = hits_before + rts.trace_hits;
-    stats.trace_invalidations = invalidations_before + rts.trace_invalidations;
+    stats.tasks_spawned = spawned_before + rt.stats().spawned;
     stats.final_blocks = state.blocks.len();
     stats.pool = state.pool.stats();
     let carry = SpanCarry {

@@ -27,8 +27,8 @@ fn four_rank_dataflow_exports_merged_chrome_trace() {
     let stats = miniamr::run_world(&cfg, n_ranks, NetworkModel::instant());
     assert!(stats.iter().all(|s| s.checksums_failed == 0));
 
-    // Metrics registry populated and surfaced through RunStats.
-    let metrics = &stats.last().expect("4 ranks").metrics;
+    // Metrics registry populated.
+    let metrics = obs::metrics().snapshot();
     let get = |name: &str| -> i64 {
         metrics
             .iter()

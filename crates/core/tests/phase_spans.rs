@@ -2,12 +2,13 @@
 //! other than the bus itself: each rank of an MPI-only, fork-join and
 //! data-flow smoke shows up in the span graph with busy time and
 //! stencil/pack/unpack spans, and the run's checksum digest is the one
-//! the same run produces with the bus off.
+//! the same run produces with the bus off. The metrics registry's task
+//! count is the runtimes' own: one counter per quantity.
 //!
 //! Lives in its own integration-test binary: enabling the bus is
 //! process-global and sticky, so it must not leak into other tests.
 
-use miniamr::{Config, Variant};
+use miniamr::{Config, RunStats, Variant};
 use obs::report::Collector;
 use obs::span::{Phase, SpanGraph};
 use vmpi::NetworkModel;
@@ -19,16 +20,19 @@ fn smoke(variant: Variant) -> Config {
     cfg
 }
 
-fn digest(cfg: &Config) -> u64 {
+fn run(cfg: &Config) -> Vec<RunStats> {
     let stats = miniamr::run_world(cfg, cfg.params.num_ranks(), NetworkModel::instant());
     assert!(stats.iter().all(|s| s.checksums_failed == 0));
-    stats[0].checksum_digest()
+    stats
 }
 
 #[test]
 fn every_variant_emits_phase_spans_for_every_rank() {
     let variants = [Variant::MpiOnly, Variant::ForkJoin, Variant::DataFlow];
-    let bus_off: Vec<u64> = variants.iter().map(|&v| digest(&smoke(v))).collect();
+    let bus_off: Vec<u64> = variants
+        .iter()
+        .map(|&v| run(&smoke(v))[0].checksum_digest())
+        .collect();
     assert!(
         bus_off.windows(2).all(|w| w[0] == w[1]),
         "variants disagree with the bus off: {bus_off:x?}"
@@ -37,13 +41,25 @@ fn every_variant_emits_phase_spans_for_every_rank() {
     let bus = obs::enable_with_capacity(1 << 16);
     for (&variant, &expected) in variants.iter().zip(&bus_off) {
         let cfg = smoke(variant);
+        obs::metrics().reset();
         let collector = Collector::start(bus, None, 1);
-        let digest_on = digest(&cfg);
+        let stats = run(&cfg);
         let (events, dropped) = collector.finish();
         assert_eq!(dropped, 0, "{variant:?}: ring overflow");
         assert_eq!(
-            digest_on, expected,
+            stats[0].checksum_digest(),
+            expected,
             "{variant:?}: the bus changed the digest"
+        );
+        let registry_spawned = obs::metrics()
+            .snapshot()
+            .into_iter()
+            .find(|&(name, _)| name == "taskrt.tasks_spawned")
+            .map_or(0, |(_, v)| v as u64);
+        assert_eq!(
+            registry_spawned,
+            stats.iter().map(|s| s.tasks_spawned).sum::<u64>(),
+            "{variant:?}: registry taskrt.tasks_spawned disagrees with RunStats"
         );
 
         let graph = SpanGraph::build(&events);

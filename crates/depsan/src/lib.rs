@@ -143,10 +143,6 @@ pub enum ViolationKind {
     /// Unmatched messages / pending receives / unreleased holds at
     /// finalize.
     FinalizeLeak,
-    /// A replayed task's cached predecessor set misses a declared-conflict
-    /// predecessor: the trace replay installed fewer happens-before edges
-    /// than the declared accesses require.
-    ReplayMissingEdge,
 }
 
 impl ViolationKind {
@@ -160,7 +156,6 @@ impl ViolationKind {
             ViolationKind::TagSizeMismatch => "tag-size-mismatch",
             ViolationKind::SizeMismatch => "size-mismatch",
             ViolationKind::FinalizeLeak => "finalize-leak",
-            ViolationKind::ReplayMissingEdge => "replay-missing-edge",
         }
     }
 }
@@ -425,116 +420,6 @@ pub fn task_spawned(rt: u64, label: &str, rank: u32, decls: &[DeclAccess]) -> u6
             decls: decls.to_vec(),
         },
     );
-    san
-}
-
-/// Registers a task whose dependency edges were installed from a cached
-/// task trace instead of fresh claim-table analysis, and re-verifies the
-/// replayed graph against the declared accesses.
-///
-/// Unlike [`task_spawned`], the happens-before closure is built from the
-/// *replayed* predecessor set (`pred_sans`) only — exactly the ordering
-/// the runtime will actually enforce. The declared-conflict predecessors
-/// are then re-derived from the declarations, and any conflict the
-/// replayed closure does not cover is reported as a
-/// [`ViolationKind::ReplayMissingEdge`]: the cached trace promises less
-/// ordering than the declared accesses require. Predecessors already
-/// joined by a `taskwait` are in the runtime base and therefore covered.
-///
-/// `pred_sans` may include predecessors that had already released when
-/// the edge was installed (and was therefore skipped by the runtime):
-/// their release happened before this spawn, so their effects are
-/// ordered regardless.
-pub fn replayed_task(
-    rt: u64,
-    label: &str,
-    rank: u32,
-    decls: &[DeclAccess],
-    pred_sans: &[u64],
-) -> u64 {
-    let mut st = state();
-    st.next_san += 1;
-    let san = st.next_san;
-
-    let mut closure = match st.runtimes.get_mut(&rt) {
-        Some(r) => {
-            r.all_spawned.set(san);
-            r.base.clone()
-        }
-        None => BitSet::default(),
-    };
-    for p in pred_sans {
-        if let Some(t) = st.tasks.get(p) {
-            closure.union_with(&t.closure);
-        }
-    }
-    // Re-derive the declared-conflict predecessors and check each one is
-    // inside the replayed closure (directly or transitively).
-    let mut missing: Vec<(u64, u64, String)> = Vec::new();
-    for d in decls {
-        if let Some(os) = st.objects.get(&d.obj) {
-            for e in &os.declared {
-                if (d.write || e.write)
-                    && overlap(d.start, d.end, e.start, e.end)
-                    && !closure.get(e.san)
-                    && !missing.iter().any(|&(p, _, _)| p == e.san)
-                {
-                    let what = format!(
-                        "{} {}..{} vs its {} {}..{}",
-                        if d.write { "write" } else { "read" },
-                        d.start,
-                        d.end,
-                        if e.write { "write" } else { "read" },
-                        e.start,
-                        e.end,
-                    );
-                    missing.push((e.san, d.obj, what));
-                }
-            }
-        }
-    }
-    closure.set(san);
-    for d in decls {
-        st.objects
-            .entry(d.obj)
-            .or_default()
-            .declared
-            .push(DeclEntry {
-                san,
-                start: d.start,
-                end: d.end,
-                write: d.write,
-            });
-    }
-    st.tasks.insert(
-        san,
-        TaskInfo {
-            label: label.to_string(),
-            rank,
-            closure,
-            decls: decls.to_vec(),
-        },
-    );
-    for (pred, obj, what) in missing {
-        let pred_label = st
-            .tasks
-            .get(&pred)
-            .map(|t| t.label.clone())
-            .unwrap_or_default();
-        let v = Violation {
-            kind: ViolationKind::ReplayMissingEdge,
-            rank,
-            task: san,
-            label: label.to_string(),
-            obj,
-            detail: format!(
-                "replayed predecessor set misses declared-conflict predecessor \
-                 task {pred} '{pred_label}' on obj {obj} ({what}) — the cached \
-                 trace enforces less ordering than the declared accesses require",
-            ),
-        };
-        report_locked(&mut st, v);
-    }
     san
 }
 
@@ -866,50 +751,6 @@ mod tests {
         with_scope(t1, || record_access(7, 0, 10, true));
         with_scope(t2, || record_access(7, 0, 10, true));
         assert!(take_violations().is_empty(), "WAW edge orders the writes");
-    }
-
-    #[test]
-    fn replayed_task_with_complete_preds_is_clean() {
-        let _g = setup();
-        let rt = runtime_created();
-        let t1 = task_spawned(rt, "w1", 0, &[decl(7, 0, 10, true)]);
-        // Transitive coverage: t3 names only t2, but t2's closure holds t1.
-        let t2 = replayed_task(rt, "w2", 0, &[decl(7, 0, 10, true)], &[t1]);
-        let t3 = replayed_task(rt, "w3", 0, &[decl(7, 0, 10, true)], &[t2]);
-        with_scope(t1, || record_access(7, 0, 10, true));
-        with_scope(t2, || record_access(7, 0, 10, true));
-        with_scope(t3, || record_access(7, 0, 10, true));
-        assert!(
-            take_violations().is_empty(),
-            "replayed edges cover the declared conflicts"
-        );
-    }
-
-    #[test]
-    fn replayed_task_missing_edge_is_reported() {
-        let _g = setup();
-        let rt = runtime_created();
-        let t1 = task_spawned(rt, "writer", 0, &[decl(7, 0, 10, true)]);
-        let _ = t1;
-        let t2 = replayed_task(rt, "replayed", 0, &[decl(7, 0, 10, true)], &[]);
-        let v = take_violations();
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].kind, ViolationKind::ReplayMissingEdge);
-        assert_eq!(v[0].task, t2);
-        assert_eq!(v[0].obj, 7);
-    }
-
-    #[test]
-    fn replayed_task_pred_joined_by_taskwait_is_covered() {
-        let _g = setup();
-        let rt = runtime_created();
-        let t1 = task_spawned(rt, "w1", 0, &[decl(7, 0, 10, true)]);
-        let _ = t1;
-        taskwait_joined(rt);
-        // The predecessor was purged into the runtime base; an empty
-        // replayed pred set is still complete.
-        let _t2 = replayed_task(rt, "w2", 0, &[decl(7, 0, 10, true)], &[]);
-        assert!(take_violations().is_empty());
     }
 
     #[test]

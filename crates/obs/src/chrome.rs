@@ -172,21 +172,13 @@ pub fn export_chrome(events: &[Event]) -> String {
         let tid = tid_of(e.worker);
         let ts = e.t_us;
         match &e.data {
-            EventData::TaskCreated {
-                id,
-                label,
-                preds,
-                replayed,
-            } => {
+            EventData::TaskCreated { id, label, preds } => {
                 em.instant(
                     "task_created",
                     pid,
                     tid,
                     ts,
-                    &format!(
-                        "\"id\":{id},\"label\":\"{}\",\"preds\":{preds},\"replayed\":{replayed}",
-                        esc(label)
-                    ),
+                    &format!("\"id\":{id},\"label\":\"{}\",\"preds\":{preds}", esc(label)),
                 );
             }
             EventData::TaskReady { id } => {
@@ -436,15 +428,6 @@ pub fn export_chrome(events: &[Event]) -> String {
                     &format!("\"peer\":{peer},\"retries\":{retries}"),
                 );
             }
-            EventData::TraceMark { kind, key, tasks } => {
-                em.instant(
-                    &format!("trace_{kind}"),
-                    pid,
-                    tid,
-                    ts,
-                    &format!("\"key\":{key},\"tasks\":{tasks}"),
-                );
-            }
             EventData::Span {
                 kind,
                 start_us,
@@ -525,18 +508,6 @@ mod tests {
                     id: 1,
                     label: "stencil",
                     preds: 0,
-                    replayed: false,
-                },
-            ),
-            ev(
-                0,
-                11,
-                0,
-                LANE_MAIN,
-                EventData::TraceMark {
-                    kind: "hit",
-                    key: 0,
-                    tasks: 1,
                 },
             ),
             ev(1, 12, 0, 0, EventData::TaskReady { id: 1 }),

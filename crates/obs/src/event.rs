@@ -42,9 +42,6 @@ pub enum EventData {
         label: &'static str,
         /// Dependency edges created at registration.
         preds: u32,
-        /// True when the edges were installed from a cached task trace
-        /// instead of fresh claim-table analysis.
-        replayed: bool,
     },
     /// taskrt: a task's last predecessor released; it is now schedulable.
     TaskReady {
@@ -255,17 +252,6 @@ pub enum EventData {
         /// Retransmissions it took.
         retries: u32,
     },
-    /// taskrt: a trace-cache transition (`"record"`, `"hit"`, `"miss"`,
-    /// `"divergence"`, `"invalidate"`). `tasks` is the number of tasks
-    /// the transition covered (trace length, or 0 for invalidations).
-    TraceMark {
-        /// Transition kind.
-        kind: &'static str,
-        /// Trace scope key.
-        key: u64,
-        /// Tasks covered by the transition.
-        tasks: u32,
-    },
     /// core: a coarse phase interval recorded by `span::timed`
     /// (stencil, pack, unpack, ... — the Fig. 1–3 palette of
     /// `span::Phase`).
@@ -321,7 +307,6 @@ impl EventData {
             EventData::Retransmit { .. } => "retransmit",
             EventData::CheckpointTaken { .. } => "checkpoint_taken",
             EventData::RankRecovered { .. } => "rank_recovered",
-            EventData::TraceMark { .. } => "trace_mark",
             EventData::Span { .. } => "span",
             EventData::WaitSpan { .. } => "wait_span",
             EventData::TimestepMark { .. } => "timestep",

@@ -26,12 +26,10 @@
 //!   still hot in cache is reused — the locality heuristic the paper
 //!   credits for the IPC improvement of the data-flow variant (§V-B,
 //!   §VI). The policy can be disabled for ablation studies.
-//! * **Task-graph trace & replay.** A [`Runtime::trace_scope`] brackets a
-//!   periodic submission phase (one AMR timestep); once two consecutive
-//!   iterations submit the identical task stream, the dependency edges
-//!   are frozen into a trace and later iterations replay them without
-//!   touching the claim table. Regrid/repartition/restore invalidate via
-//!   [`Runtime::invalidate_traces`] / [`invalidate_all_traces`].
+//!
+//! Like the OmpSs-2 runtime the paper builds on, every spawn runs fresh
+//! dependency analysis against the live accesses; task graphs are never
+//! cached or replayed.
 //!
 //! ## Example
 //!
@@ -69,14 +67,12 @@ mod runtime;
 mod scheduler;
 mod submit;
 mod task;
-mod trace;
 
 pub use events::EventHold;
 pub use region::{Access, AccessMode, ObjId, Region};
 pub use runtime::{Runtime, RuntimeConfig, RuntimeStats, TaskBuilder};
 pub use submit::{BarrierKind, CommIntent, CommKind, Submitter, TaskSpec};
 pub use task::current_task_id;
-pub use trace::{invalidate_all_traces, TraceScope};
 
 /// Acquires an [`EventHold`] on the task currently executing on this
 /// thread, deferring its dependency release until the hold is dropped.

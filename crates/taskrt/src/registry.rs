@@ -98,25 +98,6 @@ impl Registry {
         edges
     }
 
-    /// Inserts the accesses of `task` as live entries *without* any edge
-    /// scan — used by the trace layer to flush a replayed (bypassed)
-    /// task back into the claim table so later fresh analysis can link
-    /// behind it. The caller handles the race against release (see
-    /// `trace::flush_bypassed`).
-    pub(crate) fn insert_entries(&self, task: &Arc<TaskShared>) {
-        for (idx, access) in task.accesses.iter().enumerate() {
-            let mut shard = self.shard_of(access.region.obj).lock();
-            shard
-                .objects
-                .entry(access.region.obj)
-                .or_default()
-                .push(LiveAccess {
-                    task: Arc::clone(task),
-                    access_idx: idx,
-                });
-        }
-    }
-
     /// Removes all registry entries of a released task.
     pub(crate) fn remove_task(&self, task: &Arc<TaskShared>) {
         for access in task.accesses.iter() {

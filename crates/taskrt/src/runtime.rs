@@ -4,10 +4,9 @@ use crate::region::{Access, Region};
 use crate::registry::Registry;
 use crate::scheduler::Scheduler;
 use crate::task::{AccessList, SuccessorList, TaskBody, TaskLinks, TaskShared};
-use crate::trace::{self, Route, TraceCache};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 
@@ -20,17 +19,6 @@ pub struct RuntimeConfig {
     /// next on the same worker (cache-locality policy). Disable for
     /// ablation studies.
     pub immediate_successor: bool,
-    /// Whether the task-graph trace & replay cache is armed (see
-    /// [`Runtime::trace_scope`]). When false, trace scopes are inert and
-    /// every spawn takes fresh claim-table analysis.
-    pub replay: bool,
-    /// External trace-invalidation epoch observed at trace-scope
-    /// boundaries *instead of* the process-global one (see
-    /// [`crate::invalidate_all_traces`]). A multi-job process hands each
-    /// job's runtimes the job's own epoch so one job's checkpoint
-    /// restore or resize cannot invalidate another job's traces. `None`
-    /// falls back to the process-global epoch.
-    pub trace_epoch: Option<std::sync::Arc<AtomicU64>>,
 }
 
 impl RuntimeConfig {
@@ -39,8 +27,6 @@ impl RuntimeConfig {
         RuntimeConfig {
             workers,
             immediate_successor: true,
-            replay: true,
-            trace_epoch: None,
         }
     }
 }
@@ -61,34 +47,14 @@ pub struct RuntimeStats {
     /// Holds acquired but not yet released (a nonzero value at shutdown
     /// means a leaked `EventHold`).
     pub outstanding_holds: u64,
-    /// Trace-scope iterations that recorded (no frozen trace yet — the
-    /// replay misses).
-    pub trace_records: u64,
-    /// Trace-scope iterations replayed entirely from a frozen trace.
-    pub trace_hits: u64,
-    /// Replay iterations abandoned mid-scope (submission stream diverged
-    /// from the frozen trace; fell back to fresh analysis).
-    pub trace_divergences: u64,
-    /// Explicit trace invalidations (regrid, repartition, restore).
-    pub trace_invalidations: u64,
-    /// Tasks whose dependency edges were installed from a replayed trace
-    /// (claim table bypassed).
-    pub replayed_tasks: u64,
 }
 
 /// Cached metric handles (a registry lookup takes a lock; the handles are
 /// lock-free). Present only when observability was enabled before the
 /// runtime was built, so the disabled path carries no atomics at all.
 pub(crate) struct ObsMetrics {
-    pub(crate) spawned: obs::Counter,
-    pub(crate) edges: obs::Counter,
     pub(crate) blocked: obs::Counter,
     pub(crate) live_hwm: obs::Gauge,
-    pub(crate) replayed_tasks: obs::Counter,
-    pub(crate) trace_records: obs::Counter,
-    pub(crate) trace_hits: obs::Counter,
-    pub(crate) trace_divergences: obs::Counter,
-    pub(crate) trace_invalidations: obs::Counter,
 }
 
 const LIVE_SHARDS: usize = 8;
@@ -142,7 +108,6 @@ impl LiveSet {
 pub(crate) struct RtInner {
     pub registry: Registry,
     pub scheduler: Scheduler,
-    pub(crate) trace: TraceCache,
     next_id: AtomicU64,
     live: AtomicUsize,
     live_set: Option<LiveSet>,
@@ -153,11 +118,6 @@ pub(crate) struct RtInner {
     stat_ready_at_spawn: AtomicU64,
     pub(crate) stat_holds_acquired: AtomicU64,
     pub(crate) stat_holds_released: AtomicU64,
-    pub(crate) stat_trace_records: AtomicU64,
-    pub(crate) stat_trace_hits: AtomicU64,
-    pub(crate) stat_trace_divergences: AtomicU64,
-    pub(crate) stat_trace_invalidations: AtomicU64,
-    pub(crate) stat_replayed_tasks: AtomicU64,
     /// Virtual rank this runtime serves, for event attribution
     /// ([`obs::UNKNOWN_RANK`] until [`Runtime::set_obs_rank`]).
     pub(crate) obs_rank: AtomicU32,
@@ -363,7 +323,6 @@ impl Runtime {
         let inner = Arc::new(RtInner {
             registry: Registry::new(),
             scheduler,
-            trace: TraceCache::new(config.replay, config.trace_epoch.clone()),
             next_id: AtomicU64::new(1),
             live: AtomicUsize::new(0),
             live_set: track_live.then(LiveSet::new),
@@ -374,22 +333,10 @@ impl Runtime {
             stat_ready_at_spawn: AtomicU64::new(0),
             stat_holds_acquired: AtomicU64::new(0),
             stat_holds_released: AtomicU64::new(0),
-            stat_trace_records: AtomicU64::new(0),
-            stat_trace_hits: AtomicU64::new(0),
-            stat_trace_divergences: AtomicU64::new(0),
-            stat_trace_invalidations: AtomicU64::new(0),
-            stat_replayed_tasks: AtomicU64::new(0),
             obs_rank: AtomicU32::new(obs::UNKNOWN_RANK),
             obs_metrics: obs::is_enabled().then(|| ObsMetrics {
-                spawned: obs::metrics().counter("taskrt.tasks_spawned"),
-                edges: obs::metrics().counter("taskrt.dep_edges"),
                 blocked: obs::metrics().counter("taskrt.tasks_blocked_on_events"),
                 live_hwm: obs::metrics().gauge("taskrt.live_tasks_hwm"),
-                replayed_tasks: obs::metrics().counter("taskrt.replayed_tasks"),
-                trace_records: obs::metrics().counter("taskrt.trace_records"),
-                trace_hits: obs::metrics().counter("taskrt.trace_hits"),
-                trace_divergences: obs::metrics().counter("taskrt.trace_divergences"),
-                trace_invalidations: obs::metrics().counter("taskrt.trace_invalidations"),
             }),
             san_rt: if depsan::is_enabled() {
                 depsan::runtime_created()
@@ -447,11 +394,6 @@ impl Runtime {
         self.spawn_boxed(accesses.into(), 0, "", Box::new(body));
     }
 
-    /// Shared reference to the runtime internals (trace layer plumbing).
-    pub(crate) fn inner(&self) -> &Arc<RtInner> {
-        &self.inner
-    }
-
     /// Returns the task's depsan id (0 while the sanitizer is disabled).
     fn spawn_boxed(
         &self,
@@ -461,19 +403,9 @@ impl Runtime {
         body: TaskBody,
     ) -> u64 {
         let inner = &self.inner;
-        // Consult the trace cache first: inside a replaying scope the
-        // spawn's predecessors come straight from the frozen trace and the
-        // claim table is bypassed entirely.
-        let route = if inner.trace.enabled {
-            trace::route_spawn(inner, label, priority, &accesses)
-        } else {
-            Route::Untraced
-        };
-        // Register with the sanitizer next: spawn order is a topological
+        // Register with the sanitizer first: spawn order is a topological
         // order of the declared graph, which is what lets depsan compute
-        // happens-before closures at spawn time. A replayed spawn goes
-        // through the verifying entry point, which re-checks the trace's
-        // predecessor set against the declared accesses.
+        // happens-before closures at spawn time.
         let san_id = if inner.san_rt != 0 {
             let decls: Vec<depsan::DeclAccess> = accesses
                 .iter()
@@ -484,13 +416,7 @@ impl Runtime {
                     write: a.mode.is_write(),
                 })
                 .collect();
-            if let Route::Replay(preds) = &route {
-                let pred_sans: Vec<u64> =
-                    preds.iter().map(|p| p.san_id).filter(|&s| s != 0).collect();
-                depsan::replayed_task(inner.san_rt, label, inner.rank(), &decls, &pred_sans)
-            } else {
-                depsan::task_spawned(inner.san_rt, label, inner.rank(), &decls)
-            }
+            depsan::task_spawned(inner.san_rt, label, inner.rank(), &decls)
         } else {
             0
         };
@@ -509,28 +435,13 @@ impl Runtime {
                 released: false,
                 successors: SuccessorList::new(),
             }),
-            bypassed: AtomicBool::new(false),
             rt: Arc::clone(inner),
         });
         let live_now = inner.live.fetch_add(1, Ordering::AcqRel) + 1;
         if let Some(live_set) = &inner.live_set {
             live_set.insert(task.id, Arc::downgrade(&task));
         }
-        let (edges, replayed) = match route {
-            Route::Replay(preds) => (trace::install_replayed(inner, &task, &preds), true),
-            route => {
-                // Fresh analysis must see any still-live replayed tasks in
-                // the claim table, so flush them back in first.
-                if inner.trace.enabled {
-                    trace::flush_bypassed(inner);
-                }
-                let edges = inner.registry.register(&task);
-                if matches!(route, Route::Recording) {
-                    trace::record_spawn(inner, &task);
-                }
-                (edges, false)
-            }
-        };
+        let edges = inner.registry.register(&task);
         inner.stat_spawned.fetch_add(1, Ordering::Relaxed);
         inner.stat_edges.fetch_add(edges as u64, Ordering::Relaxed);
         if edges == 0 {
@@ -543,12 +454,9 @@ impl Runtime {
                     id: task.id,
                     label: task.label,
                     preds: edges as u32,
-                    replayed,
                 },
             );
             if let Some(m) = &inner.obs_metrics {
-                m.spawned.inc();
-                m.edges.add(edges as u64);
                 m.live_hwm.fetch_max(live_now as i64);
             }
         }
@@ -669,11 +577,6 @@ impl Runtime {
             live_tasks: self.inner.live.load(Ordering::Acquire) as u64,
             holds_acquired: acquired,
             outstanding_holds: acquired.saturating_sub(released),
-            trace_records: self.inner.stat_trace_records.load(Ordering::Relaxed),
-            trace_hits: self.inner.stat_trace_hits.load(Ordering::Relaxed),
-            trace_divergences: self.inner.stat_trace_divergences.load(Ordering::Relaxed),
-            trace_invalidations: self.inner.stat_trace_invalidations.load(Ordering::Relaxed),
-            replayed_tasks: self.inner.stat_replayed_tasks.load(Ordering::Relaxed),
         }
     }
 
@@ -714,6 +617,17 @@ impl Drop for Runtime {
         self.inner.scheduler.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
+        }
+        // The registry's spawn and edge totals are this runtime's own
+        // counters, added once here instead of on every spawn.
+        if self.inner.obs_metrics.is_some() {
+            let registry = obs::metrics();
+            registry
+                .counter("taskrt.tasks_spawned")
+                .add(self.inner.stat_spawned.load(Ordering::Relaxed));
+            registry
+                .counter("taskrt.dep_edges")
+                .add(self.inner.stat_edges.load(Ordering::Relaxed));
         }
         // Sanitizer finalize lint (all builds, when enabled): leaked
         // tasks/holds become a reported violation instead of silence.

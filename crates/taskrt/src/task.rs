@@ -11,7 +11,7 @@ use crate::runtime::RtInner;
 use parking_lot::Mutex;
 use smallvec::SmallVec;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 pub(crate) type TaskBody = Box<dyn FnOnce() + Send>;
@@ -36,9 +36,6 @@ pub(crate) struct TaskShared {
     /// Body (counted as 1) plus outstanding event holds.
     pub events: AtomicUsize,
     pub state: Mutex<TaskLinks>,
-    /// True while the task is live but absent from the claim table
-    /// (its edges were installed from a replayed trace).
-    pub bypassed: AtomicBool,
     pub rt: Arc<RtInner>,
 }
 
@@ -80,13 +77,6 @@ impl TaskShared {
         // and never while holding the task's own state lock (see the lock
         // ordering note in registry.rs).
         self.rt.registry.remove_task(self);
-        // A replayed task has no registry entries; hand it back to the
-        // trace layer instead (after the removal above, so a concurrent
-        // flush that already inserted entries still gets them removed —
-        // the flush re-checks `released` and removes idempotently).
-        if self.rt.trace.enabled {
-            crate::trace::released_bypassed(&self.rt, self);
-        }
         if let Some(bus) = obs::bus() {
             bus.emit_for_rank(
                 self.rt.rank(),

@@ -342,8 +342,6 @@ fn immediate_successor_can_be_disabled() {
     let rt = Runtime::with_config(RuntimeConfig {
         workers: 2,
         immediate_successor: false,
-        replay: true,
-        trace_epoch: None,
     });
     let obj = ObjId::fresh();
     let sum = Arc::new(AtomicUsize::new(0));
@@ -396,15 +394,24 @@ fn priority_tasks_run_before_backlog() {
     // priority task; the priority task must run before the pile.
     let rt = Runtime::new(1);
     let order = Arc::new(Mutex::new(Vec::new()));
+    let running = Arc::new(AtomicUsize::new(0));
     let gate = Arc::new(AtomicUsize::new(0));
-    let g = Arc::clone(&gate);
+    let (r, g) = (Arc::clone(&running), Arc::clone(&gate));
     rt.spawn(Vec::new(), move || {
+        r.store(1, Ordering::SeqCst);
         // Hold the single worker until everything is enqueued.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while g.load(Ordering::SeqCst) == 0 && std::time::Instant::now() < deadline {
             std::thread::yield_now();
         }
     });
+    // Spawn the pile only once the worker is inside the blocker. A worker
+    // that wakes late would otherwise batch-steal the blocker together
+    // with part of the pile into its local deque, and run those before
+    // the priority task spawned after them.
+    while running.load(Ordering::SeqCst) == 0 {
+        std::thread::yield_now();
+    }
     for i in 0..8 {
         let o = Arc::clone(&order);
         rt.spawn(Vec::new(), move || o.lock().unwrap().push(i));

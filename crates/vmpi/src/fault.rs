@@ -108,9 +108,8 @@ pub struct ChaosConfig {
     /// Behaviour when the retry budget is exhausted.
     pub on_peer_lost: PeerLostAction,
     /// Job id stamped into [`PeerLostReport`]s from this world, so a
-    /// multi-job process can key per-job recovery (checkpoint stores,
-    /// trace epochs) off the report. 0 is the implicit single-job
-    /// default.
+    /// multi-job process can key per-job recovery (checkpoint stores)
+    /// off the report. 0 is the implicit single-job default.
     pub job: u64,
 }
 

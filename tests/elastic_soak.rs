@@ -12,8 +12,8 @@
 //!
 //! The multi-job tests run several complete, concurrently-resizing
 //! scenario instances in one process, which is what forces the
-//! checkpoint store, recovery hooks, boundary snapshots and replay-trace
-//! epochs to stay keyed per job.
+//! checkpoint store, recovery hooks and boundary snapshots to stay keyed
+//! per job.
 
 use amr_mesh::MeshParams;
 use miniamr::{Config, ElasticOpts, JobCtx, PeerLostPolicy, ResizePlan, Variant};
@@ -106,8 +106,7 @@ fn every_single_resize_point_is_digest_neutral() {
     // the digest must not move. This pins the checkpoint/restore
     // machinery across *changed* mesh epochs: resizing right after a
     // regrid restores a mesh that differs structurally from the initial
-    // one, and the replay traces recorded before the boundary must not
-    // leak through it.
+    // one.
     let base = base_cfg();
     let reference = fixed_digest(&base, Variant::DataFlow);
     for ts in 1..base.num_tsteps {
@@ -126,38 +125,28 @@ fn every_single_resize_point_is_digest_neutral() {
 }
 
 #[test]
-fn resize_across_regrid_boundary_invalidates_job_traces() {
-    // A job-scoped run resizing across a regrid boundary must bump the
-    // job's replay-trace epoch (each resize renames every block uid, so
-    // cached dependency traces are structurally stale) — and still land
-    // on the fixed-run digest.
+fn job_scoped_resize_across_regrid_boundary_matches_fixed_digest() {
+    // A job-scoped run resizing across a regrid boundary (each resize
+    // renames every block uid) must still land on the fixed-run digest.
     let base = base_cfg();
     let reference = fixed_digest(&base, Variant::DataFlow);
     let mut cfg = base.clone();
-    let job = JobCtx::new(7, 0);
-    cfg.job = Some(std::sync::Arc::clone(&job));
-    let epoch_before = job.trace_epoch.load(std::sync::atomic::Ordering::SeqCst);
+    cfg.job = Some(JobCtx::new(7, 0));
     let opts = ElasticOpts {
-        // ts 3 is right after the ts-2 regrid: the restored mesh's epoch
-        // differs from the recorded traces' world.
+        // ts 3 is right after the ts-2 regrid: the restored mesh differs
+        // from the initial one.
         plan: ResizePlan::default().at(3, 4),
         on_peer_lost: PeerLostPolicy::Abort,
     };
     let got = elastic_digest(&cfg, Variant::DataFlow, &opts);
     assert_eq!(got, reference);
-    let epoch_after = job.trace_epoch.load(std::sync::atomic::Ordering::SeqCst);
-    assert!(
-        epoch_after > epoch_before,
-        "resize did not invalidate the job's replay traces"
-    );
 }
 
 #[test]
 fn four_concurrent_resizing_jobs_agree() {
     // The soak harness core: >= 4 complete scenario instances resizing
     // concurrently in one process. Per-job keying of the checkpoint
-    // store, boundary registry and trace epochs is exactly what this
-    // breaks without.
+    // store and boundary registry is exactly what this breaks without.
     let base = base_cfg();
     let reference = fixed_digest(&base, Variant::DataFlow);
     let n_ranks = base.params.num_ranks();
