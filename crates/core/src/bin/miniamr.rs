@@ -94,9 +94,6 @@ fn usage() -> ! {
   --chaos_dup F                       per-frame duplication probability
   --chaos_corrupt F                   per-frame single-bit corruption probability
   --chaos_delay F                     per-frame delay-spike probability
-  --chaos_delay_factor F              delay-spike multiplier (default 8)
-  --chaos_stall_every N               stall the sender every N frames (0 = off)
-  --chaos_stall_ms N                  stall duration in ms (default 2)
   --chaos_crash_rank N                hard-crash rank N's NIC...
   --chaos_crash_after N               ...after it transmits N frames (default 0)
   --chaos_retry N                     retransmission budget per frame (default 8)
@@ -216,17 +213,6 @@ fn main() {
             "--chaos_delay" => {
                 chaos.get_or_insert_with(Default::default).delay_p =
                     next(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--chaos_delay_factor" => {
-                chaos.get_or_insert_with(Default::default).delay_factor =
-                    next(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--chaos_stall_every" => {
-                chaos.get_or_insert_with(Default::default).stall_every = parse(next(&mut i)) as u64
-            }
-            "--chaos_stall_ms" => {
-                chaos.get_or_insert_with(Default::default).stall =
-                    Duration::from_millis(parse(next(&mut i)) as u64)
             }
             "--chaos_crash_rank" => {
                 chaos.get_or_insert_with(Default::default).crash_rank = Some(parse(next(&mut i)))

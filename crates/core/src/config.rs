@@ -248,6 +248,19 @@ impl Config {
         start..end
     }
 
+    /// Stride of message base offsets in the communication buffers for
+    /// a group of `g` variables: the allocation stride (the largest group
+    /// size), so one message's regions overlap across groups and the WAR
+    /// edges serialise same-tag posting; `g` itself under
+    /// [`Config::legacy_group_offsets`].
+    pub fn group_offset_stride(&self, g: usize) -> usize {
+        if self.legacy_group_offsets {
+            g
+        } else {
+            self.var_group(0).len()
+        }
+    }
+
     /// Number of communication groups per stage.
     pub fn num_groups(&self) -> usize {
         let per = self.comm_vars.min(self.params.num_vars).max(1);

@@ -2,7 +2,7 @@
 //!
 //! The data-flow variant (Algorithm 3/4) and the static verifier
 //! (`dfcheck`, `--staticcheck`) must agree *exactly* on the task
-//! structure of a timestep: labels, priorities, declared accesses,
+//! structure of a timestep: kinds, priorities, declared accesses,
 //! message endpoints and spawn order. Instead of keeping two copies of
 //! that logic in sync, this module elaborates the stream once, feeding
 //! any [`taskrt::Submitter`]:
@@ -23,7 +23,7 @@ use amr_mesh::data::BlockLayout;
 use amr_mesh::directory::MeshDirectory;
 use amr_mesh::BlockId;
 use std::ops::Range;
-use taskrt::{Access, ObjId, Region, Submitter, TaskSpec};
+use taskrt::{Access, ObjId, Phase, Region, Submitter, TaskSpec};
 
 /// What a task in the data-flow stream actually does. Plan-indexed
 /// variants reference `CommPlan::msgs` / `locals` / `boundaries`.
@@ -110,21 +110,11 @@ impl ElabCtx<'_> {
         sub: &mut dyn Submitter<Work>,
     ) {
         let g = vars.len();
-        // Message base offsets use the *allocated* stride (the largest
-        // group size), not the current group's size: buffer regions of
-        // the same message must overlap across groups so the WAR edges
-        // between one group's unpackers and the next group's receive
-        // serialise posting order per tag. The seed used `g` here, which
-        // made the last uneven group's regions disjoint and deadlocked
-        // `--comm_vars --send_faces` runs (kept behind
-        // `legacy_group_offsets` for the watchdog/staticcheck CI tests).
-        // Intra-message section offsets stay in units of `g` — payload
-        // layout and therefore checksums are unchanged.
-        let gb = if self.cfg.legacy_group_offsets {
-            g
-        } else {
-            self.cfg.var_group(0).len()
-        };
+        // Message base offsets use the group offset stride (see
+        // `Config::group_offset_stride`); intra-message section offsets
+        // stay in units of `g` — payload layout and therefore checksums
+        // are unchanged.
+        let gb = self.cfg.group_offset_stride(g);
         for dir in Dir::ALL {
             let d = dir.index();
 
@@ -136,7 +126,7 @@ impl ElabCtx<'_> {
                 let lo = m.recv_offset * gb;
                 let hi = lo + m.elems_per_var * g;
                 sub.submit(TaskSpec {
-                    label: "recv",
+                    kind: Phase::Recv,
                     priority: 1,
                     accesses: vec![Access::write(Region::new(recv_obj[d], lo..hi))],
                     comm: Some(tampi::irecv_intent(m.src_rank, m.tag, m.elems_per_var * g)),
@@ -154,7 +144,7 @@ impl ElabCtx<'_> {
                     let section = Region::new(send_obj[d], slo..shi);
                     section_accesses.push(Access::read(section.clone()));
                     sub.submit(TaskSpec {
-                        label: "pack",
+                        kind: Phase::Pack,
                         priority: 0,
                         accesses: vec![
                             Access::read(self.block_region(obj_of(&t.src_block), vars.clone())),
@@ -168,7 +158,7 @@ impl ElabCtx<'_> {
                     });
                 }
                 sub.submit(TaskSpec {
-                    label: "send",
+                    kind: Phase::Send,
                     priority: 1,
                     accesses: section_accesses,
                     comm: Some(tampi::isend_intent(m.dst_rank, m.tag, m.elems_per_var * g)),
@@ -184,7 +174,7 @@ impl ElabCtx<'_> {
                 .filter(|(_, t)| t.dir == dir && t.src_rank == self.rank)
             {
                 sub.submit(TaskSpec {
-                    label: "local_copy",
+                    kind: Phase::LocalCopy,
                     priority: 0,
                     accesses: vec![
                         Access::read(self.block_region(obj_of(&t.src_block), vars.clone())),
@@ -203,7 +193,7 @@ impl ElabCtx<'_> {
                 .filter(|(_, (b, bd, _))| *bd == dir && self.dir.owner(b) == Some(self.rank))
             {
                 sub.submit(TaskSpec {
-                    label: "boundary",
+                    kind: Phase::Boundary,
                     priority: 0,
                     accesses: vec![Access::read_write(
                         self.block_region(obj_of(block), vars.clone()),
@@ -224,7 +214,7 @@ impl ElabCtx<'_> {
                     let slo = m.recv_offset * gb + t.offset_in_msg * g;
                     let shi = slo + t.elems_per_var * g;
                     sub.submit(TaskSpec {
-                        label: "unpack",
+                        kind: Phase::Unpack,
                         priority: 0,
                         accesses: vec![
                             Access::read(Region::new(recv_obj[d], slo..shi)),
@@ -254,7 +244,7 @@ impl ElabCtx<'_> {
     ) {
         for id in self.dir.blocks_of(self.rank) {
             sub.submit(TaskSpec {
-                label: "stencil",
+                kind: Phase::Stencil,
                 priority: 0,
                 accesses: vec![Access::read_write(
                     self.block_region(obj_of(&id), vars.clone()),
@@ -276,7 +266,7 @@ impl ElabCtx<'_> {
         let nv = self.cfg.params.num_vars;
         for (i, id) in self.dir.blocks_of(self.rank).into_iter().enumerate() {
             sub.submit(TaskSpec {
-                label: "checksum_local",
+                kind: Phase::ChecksumLocal,
                 priority: 0,
                 accesses: vec![
                     Access::read(self.block_region(obj_of(&id), 0..nv)),

@@ -27,9 +27,9 @@ use crate::exchange::{balance_moves, data_tag, merge_gather_moves};
 use amr_mesh::data::BlockLayout;
 use amr_mesh::directory::MeshDirectory;
 use amr_mesh::{BlockId, Object};
-use dfcheck::{Finding, Model, Recorder, Report};
+use dfcheck::{Finding, Model, NodeKind, Recorder, Report};
 use std::collections::BTreeMap;
-use taskrt::{Access, BarrierKind, CommIntent, ObjId, Region, Submitter, TaskSpec};
+use taskrt::{Access, BarrierKind, CommIntent, ObjId, Phase, Region, Submitter, TaskSpec};
 
 /// Mesh epochs modeled (initial mesh + up to three regrids). Beyond
 /// this the stream repeats structurally: every epoch rebuilds the plan
@@ -70,6 +70,33 @@ impl StaticRank {
 /// Statically verifies a scenario. Returns the full report; the check
 /// passed iff [`dfcheck::Report::clean`].
 pub fn check(cfg: &Config) -> Report {
+    let (model, slot_findings, max_move_seq) = build_model(cfg);
+    let mut report = dfcheck::check(&model);
+    for f in slot_findings {
+        report.push_warning(f);
+    }
+    // The exchange protocol derives its tags from move sequence numbers;
+    // a scenario with enough moves would walk out of the transport's tag
+    // range. (Three tags per move: ACK, control, data.)
+    if max_move_seq > 0 && !vmpi::valid_user_tag(data_tag(max_move_seq - 1)) {
+        report.push_error(Finding {
+            code: "tag-out-of-range",
+            message: format!(
+                "block exchange needs {} move tags and walks past the transport's tag range [0, {})",
+                max_move_seq,
+                vmpi::TAG_UB
+            ),
+            sites: vec![],
+            chain: vec![],
+        });
+    }
+    report
+}
+
+/// Elaborates a scenario into its static model. Also returns the
+/// buffer-slot lint findings and the number of block-exchange move tags
+/// the scenario needs.
+fn build_model(cfg: &Config) -> (Model, Vec<Finding>, usize) {
     let n_ranks = cfg.params.num_ranks();
     let layout = BlockLayout::of(&cfg.params);
     let mut model = Model::default();
@@ -131,27 +158,7 @@ pub fn check(cfg: &Config) -> Report {
         }
     }
     model.epochs = epoch.min(MAX_EPOCHS - 1) + 1;
-
-    let mut report = dfcheck::check(&model);
-    for f in slot_findings {
-        report.push_warning(f);
-    }
-    // The exchange protocol derives its tags from move sequence numbers;
-    // a scenario with enough moves would walk out of the transport's tag
-    // range. (Three tags per move: ACK, control, data.)
-    if max_move_seq > 0 && !vmpi::valid_user_tag(data_tag(max_move_seq - 1)) {
-        report.push_error(Finding {
-            code: "tag-out-of-range",
-            message: format!(
-                "block exchange needs {} move tags and walks past the transport's tag range [0, {})",
-                max_move_seq,
-                vmpi::TAG_UB
-            ),
-            sites: vec![],
-            chain: vec![],
-        });
-    }
-    report
+    (model, slot_findings, max_move_seq)
 }
 
 /// Replicates one `run_refinement` call's directory effects.
@@ -285,12 +292,15 @@ fn record_epoch(
     // a declared section verbatim; send reads the span of its sections.
     // Coverage then proves the sections tile the span.
     for node in &mut model.nodes {
-        match node.label {
-            "recv" => node.footprint = vec![node.accesses[0].clone()],
-            "pack" | "unpack" if node.accesses.len() == 2 => {
+        let NodeKind::Task(kind) = node.kind else {
+            continue;
+        };
+        match kind {
+            Phase::Recv => node.footprint = vec![node.accesses[0].clone()],
+            Phase::Pack | Phase::Unpack if node.accesses.len() == 2 => {
                 node.footprint = vec![node.accesses[0].clone(), node.accesses[1].clone()];
             }
-            "send" if !node.accesses.is_empty() => {
+            Phase::Send if !node.accesses.is_empty() => {
                 let obj = node.accesses[0].region.obj;
                 let lo = node.accesses.iter().map(|a| a.region.start).min().unwrap();
                 let hi = node.accesses.iter().map(|a| a.region.end).max().unwrap();
@@ -318,7 +328,7 @@ fn record_serialized_endpoints(
             }
             if m.dst_rank == rank {
                 rec.submit(TaskSpec {
-                    label: "recv",
+                    kind: Phase::Recv,
                     priority: 0,
                     accesses: vec![Access::read_write(Region::whole(prog_obj))],
                     comm: Some(CommIntent::recv(m.src_rank, m.tag, m.elems_per_var * g)),
@@ -327,7 +337,7 @@ fn record_serialized_endpoints(
             }
             if m.src_rank == rank {
                 rec.submit(TaskSpec {
-                    label: "send",
+                    kind: Phase::Send,
                     priority: 0,
                     accesses: vec![Access::read_write(Region::whole(prog_obj))],
                     comm: Some(CommIntent::send(m.dst_rank, m.tag, m.elems_per_var * g)),
@@ -349,7 +359,7 @@ fn lint_buffer_slots(cfg: &Config, plan: &CommPlan, epoch: usize, out: &mut Vec<
     let gmax = cfg.var_group(0).len();
     for g in 0..cfg.num_groups() {
         let glen = cfg.var_group(g).len();
-        let gb = if cfg.legacy_group_offsets { glen } else { gmax };
+        let gb = cfg.group_offset_stride(glen);
         for m in &plan.msgs {
             for (offset, side) in [(m.send_offset, "send"), (m.recv_offset, "recv")] {
                 let (lo, hi) = (offset * gb, offset * gb + m.elems_per_var * glen);
@@ -439,6 +449,32 @@ mod tests {
             );
             assert!(report.stats.nodes > 0);
         }
+    }
+
+    #[test]
+    fn every_comm_node_gets_a_footprint() {
+        let mut cfg = Config::smoke_test();
+        cfg.params.npy = 2; // the 4-rank smoke
+        cfg.variant = Variant::DataFlow;
+        assert!(check(&cfg).clean());
+        let (model, ..) = build_model(&cfg);
+        let mut seen = std::collections::BTreeSet::new();
+        for node in &model.nodes {
+            if let NodeKind::Task(
+                kind @ (Phase::Recv | Phase::Pack | Phase::Unpack | Phase::Send),
+            ) = node.kind
+            {
+                assert!(
+                    !node.footprint.is_empty(),
+                    "{kind:?} node without a footprint: rank {} seq {} {}",
+                    node.rank,
+                    node.seq,
+                    node.detail
+                );
+                seen.insert(kind.name());
+            }
+        }
+        assert_eq!(seen.len(), 4, "every comm kind must occur: {seen:?}");
     }
 
     #[test]

@@ -38,11 +38,10 @@ use crate::stats::{RunStats, Stopwatch};
 use crate::variant::{checksum_remote_blocks, record_validation, Buffers, Checkpoint};
 use amr_mesh::data::{BlockData, BlockLayout};
 use amr_mesh::BlockId;
-use obs::span::{timed, Phase};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use taskrt::{Access, BarrierKind, ObjId, Region, Runtime, Submitter, TaskSpec};
+use taskrt::{Access, BarrierKind, ObjId, Phase, Region, Runtime, Submitter, TaskSpec};
 use vmpi::Comm;
 
 /// Runs the data-flow variant on one rank, start to finish.
@@ -228,24 +227,6 @@ pub(crate) fn run_span(
         }
     }
     // Drain the graph and the delayed checksum pipeline.
-    // Diagnostic watchdog: with MINIAMR_DEBUG set, a stuck drain dumps
-    // the unreleased tasks (label + pending/event counts) after 5 s.
-    if std::env::var_os("MINIAMR_DEBUG").is_some() {
-        let rt2 = Arc::clone(&rt);
-        let rank = state.rank;
-        std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_secs(5));
-            let live = rt2.debug_live_tasks();
-            if !live.is_empty() {
-                eprintln!("rank {rank}: {} unreleased tasks", live.len());
-                for (id, label, pending, events) in live.iter().take(20) {
-                    eprintln!(
-                        "rank {rank}:   task {id} '{label}' pending={pending} events={events}"
-                    );
-                }
-            }
-        });
-    }
     rt.taskwait();
 
     if let Some(prev) = pending.take() {
@@ -336,7 +317,7 @@ impl<'a> LiveSub<'a> {
 
 impl Submitter<Work> for LiveSub<'_> {
     fn submit(&mut self, spec: TaskSpec<Work>) {
-        let builder = self.rt.task().label(spec.label).priority(spec.priority);
+        let builder = self.rt.task().kind(spec.kind).priority(spec.priority);
         let layout = self.state.layout;
         match spec.work {
             Work::Recv { msg } => {
@@ -349,9 +330,7 @@ impl Submitter<Work> for LiveSub<'_> {
                 builder
                     .accesses(spec.accesses.clone())
                     .body(move || {
-                        timed(Phase::Recv, || {
-                            tampi::irecv_into(&comm, slice, src as i32, tag).expect("recv task")
-                        })
+                        tampi::irecv_into(&comm, slice, src as i32, tag).expect("recv task")
                     })
                     .spawn();
             }
@@ -366,11 +345,9 @@ impl Submitter<Work> for LiveSub<'_> {
                 builder
                     .accesses(spec.accesses.clone())
                     .body(move || {
-                        timed(Phase::Pack, || {
-                            slice.with_write(|dst| {
-                                pack_transfer_into(&layout, &src, &t, vars2.clone(), dst)
-                            });
-                        })
+                        slice.with_write(|dst| {
+                            pack_transfer_into(&layout, &src, &t, vars2.clone(), dst)
+                        });
                     })
                     .spawn();
             }
@@ -386,11 +363,7 @@ impl Submitter<Work> for LiveSub<'_> {
                 let comm = Arc::clone(self.comm());
                 builder
                     .accesses(spec.accesses.clone())
-                    .body(move || {
-                        timed(Phase::Send, || {
-                            tampi::isend_from(&comm, &slice, dst, tag).expect("send task")
-                        })
-                    })
+                    .body(move || tampi::isend_from(&comm, &slice, dst, tag).expect("send task"))
                     .spawn();
                 let stats = self.stats.as_mut().expect("communicate phase has stats");
                 stats.msgs_sent += 1;
@@ -405,9 +378,7 @@ impl Submitter<Work> for LiveSub<'_> {
                 builder
                     .accesses(spec.accesses)
                     .body(move || {
-                        timed(Phase::LocalCopy, || {
-                            apply_local_transfer(&layout, &src, &dst, &t, vars2.clone(), &pool)
-                        })
+                        apply_local_transfer(&layout, &src, &dst, &t, vars2.clone(), &pool)
                     })
                     .spawn();
             }
@@ -431,11 +402,9 @@ impl Submitter<Work> for LiveSub<'_> {
                 builder
                     .accesses(spec.accesses.clone())
                     .body(move || {
-                        timed(Phase::Unpack, || {
-                            slice.with_read(|payload| {
-                                unpack_transfer(&layout, &dst, &t, vars2.clone(), payload)
-                            });
-                        })
+                        slice.with_read(|payload| {
+                            unpack_transfer(&layout, &dst, &t, vars2.clone(), payload)
+                        });
                     })
                     .spawn();
             }
@@ -447,10 +416,8 @@ impl Submitter<Work> for LiveSub<'_> {
                 builder
                     .accesses(spec.accesses)
                     .body(move || {
-                        let f = timed(Phase::Stencil, || {
-                            amr_mesh::stencil::apply_stencil(&block, &layout, kind, vars2.clone());
-                            layout.cells() as u64 * vars2.len() as u64 * kind.flops_per_cell()
-                        });
+                        amr_mesh::stencil::apply_stencil(&block, &layout, kind, vars2.clone());
+                        let f = layout.cells() as u64 * vars2.len() as u64 * kind.flops_per_cell();
                         flops.fetch_add(f, Ordering::Relaxed);
                     })
                     .spawn();
@@ -462,10 +429,7 @@ impl Submitter<Work> for LiveSub<'_> {
                 builder
                     .accesses(spec.accesses)
                     .body(move || {
-                        let sums = timed(Phase::ChecksumLocal, || {
-                            amr_mesh::checksum::block_sums(&block, &layout, 0..nv)
-                        });
-                        slots.lock()[slot] = sums;
+                        slots.lock()[slot] = amr_mesh::checksum::block_sums(&block, &layout, 0..nv);
                     })
                     .spawn();
             }
@@ -633,10 +597,10 @@ fn run_jobs_tasked(rt: &Runtime, state: &RankState, jobs: Vec<RefineJob>) -> Vec
         let results = Arc::clone(&results);
         let params = params.clone();
         rt.task()
-            .label("refine_copy")
+            .kind(Phase::RefineCopy)
             .accesses(deps)
             .body(move || {
-                let out = timed(Phase::RefineCopy, || job.run(&params));
+                let out = job.run(&params);
                 results.lock().extend(out);
             })
             .spawn();
@@ -670,15 +634,13 @@ impl BlockMover for TaskMover {
         let pool = Arc::clone(&state.pool);
         self.rt
             .task()
-            .label("exchange_send")
+            .kind(Phase::RefineExchange)
             .input(reg)
             .body(move || {
-                timed(Phase::RefineExchange, || {
-                    // Pooled staging buffer, recycled when the task drops it.
-                    let mut payload = pool.take(nv * layout.cells());
-                    block.pack_interior_into(&layout, 0..nv, &mut payload);
-                    tampi::isend(&comm, &payload, to, tag).expect("exchange send");
-                })
+                // Pooled staging buffer, recycled when the task drops it.
+                let mut payload = pool.take(nv * layout.cells());
+                block.pack_interior_into(&layout, 0..nv, &mut payload);
+                tampi::isend(&comm, &payload, to, tag).expect("exchange send");
             })
             .spawn();
     }
@@ -699,15 +661,13 @@ impl BlockMover for TaskMover {
         let reg = block_region(&layout, &block, 0..nv);
         self.rt
             .task()
-            .label("exchange_recv")
+            .kind(Phase::RefineExchange)
             .out(reg)
             .body(move || {
-                timed(Phase::RefineExchange, || {
-                    tampi::irecv_with::<f64, _>(&comm, from as i32, tag, move |payload| {
-                        handle.unpack_interior(&layout, 0..nv, &payload);
-                    })
-                    .expect("exchange recv");
+                tampi::irecv_with::<f64, _>(&comm, from as i32, tag, move |payload| {
+                    handle.unpack_interior(&layout, 0..nv, &payload);
                 })
+                .expect("exchange recv");
             })
             .spawn();
         block

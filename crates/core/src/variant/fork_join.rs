@@ -116,13 +116,15 @@ pub(crate) fn run_span(
                     let kind = cfg.stencil;
                     let vars = vars.clone();
                     let flops = Arc::clone(&flops);
-                    rt.spawn(Vec::new(), move || {
-                        let f = timed(Phase::Stencil, || {
+                    rt.task()
+                        .kind(Phase::Stencil)
+                        .body(move || {
                             amr_mesh::stencil::apply_stencil(&block, &layout, kind, vars.clone());
-                            layout.cells() as u64 * vars.len() as u64 * kind.flops_per_cell()
-                        });
-                        flops.fetch_add(f, Ordering::Relaxed);
-                    });
+                            let f =
+                                layout.cells() as u64 * vars.len() as u64 * kind.flops_per_cell();
+                            flops.fetch_add(f, Ordering::Relaxed);
+                        })
+                        .spawn();
                 }
                 rt.taskwait();
                 stats.flops += flops.load(Ordering::Relaxed);
@@ -186,10 +188,13 @@ fn run_jobs_parallel(rt: &Runtime, state: &RankState, jobs: Vec<RefineJob>) -> V
     for job in jobs {
         let results = Arc::clone(&results);
         let params = params.clone();
-        rt.spawn(Vec::new(), move || {
-            let out = timed(Phase::RefineCopy, || job.run(&params));
-            results.lock().extend(out);
-        });
+        rt.task()
+            .kind(Phase::RefineCopy)
+            .body(move || {
+                let out = job.run(&params);
+                results.lock().extend(out);
+            })
+            .spawn();
     }
     rt.taskwait();
     // Deterministic insertion order regardless of task completion order.
@@ -212,12 +217,12 @@ fn parallel_local_checksum(
     for (i, block) in blocks.into_iter().enumerate() {
         let layout = state.layout;
         let slots = Arc::clone(&slots);
-        rt.spawn(Vec::new(), move || {
-            let sums = timed(Phase::ChecksumLocal, || {
-                amr_mesh::checksum::block_sums(&block, &layout, 0..nv)
-            });
-            slots.lock()[i] = Some(sums);
-        });
+        rt.task()
+            .kind(Phase::ChecksumLocal)
+            .body(move || {
+                slots.lock()[i] = Some(amr_mesh::checksum::block_sums(&block, &layout, 0..nv));
+            })
+            .spawn();
     }
     rt.taskwait();
     let slots = slots.lock();
@@ -273,13 +278,14 @@ fn communicate(
                     let lo = (m.send_offset + t.offset_in_msg) * g;
                     bufs.send[d].slice(lo..lo + t.elems_per_var * g)
                 };
-                rt.spawn(Vec::new(), move || {
-                    timed(Phase::Pack, || {
+                rt.task()
+                    .kind(Phase::Pack)
+                    .body(move || {
                         slice.with_write(|dst| {
                             pack_transfer_into(&layout, &src, &t, vars.clone(), dst)
                         })
-                    });
-                });
+                    })
+                    .spawn();
             }
         }
         rt.taskwait();
@@ -320,11 +326,11 @@ fn communicate(
                 )),
             ];
             let pool = Arc::clone(&state.pool);
-            rt.spawn(deps, move || {
-                timed(Phase::LocalCopy, || {
-                    apply_local_transfer(&layout, &src, &dst, &t, vars2.clone(), &pool)
-                })
-            });
+            rt.task()
+                .kind(Phase::LocalCopy)
+                .accesses(deps)
+                .body(move || apply_local_transfer(&layout, &src, &dst, &t, vars2.clone(), &pool))
+                .spawn();
         }
         // Boundary fills join the same protected loop.
         for (block, bdir, side) in plan
@@ -340,9 +346,11 @@ fn communicate(
                 crate::block_obj(b.uid),
                 layout.var_elem_range(vars2.clone()),
             ))];
-            rt.spawn(deps, move || {
-                apply_boundary(&layout, &b, bdir, side, vars2.clone())
-            });
+            rt.task()
+                .kind(Phase::Boundary)
+                .accesses(deps)
+                .body(move || apply_boundary(&layout, &b, bdir, side, vars2.clone()))
+                .spawn();
         }
         rt.taskwait();
 
@@ -375,13 +383,15 @@ fn communicate(
                         layout.var_elem_range(vars2.clone()),
                     )),
                 ];
-                rt.spawn(deps, move || {
-                    timed(Phase::Unpack, || {
+                rt.task()
+                    .kind(Phase::Unpack)
+                    .accesses(deps)
+                    .body(move || {
                         slice.with_read(|payload| {
                             unpack_transfer(&layout, &dst, &t, vars2.clone(), payload)
                         })
-                    });
-                });
+                    })
+                    .spawn();
             }
         }
         rt.taskwait();

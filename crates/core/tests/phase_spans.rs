@@ -1,15 +1,17 @@
-//! Phase spans reach the event bus from every variant with no switch
+//! Phase intervals reach the event bus from every variant with no switch
 //! other than the bus itself: each rank of an MPI-only, fork-join and
 //! data-flow smoke shows up in the span graph with busy time and
-//! stencil/pack/unpack spans, and the run's checksum digest is the one
-//! the same run produces with the bus off. The metrics registry's task
-//! count is the runtimes' own: one counter per quantity.
+//! stencil/pack/unpack intervals, and the run's checksum digest is the
+//! one the same run produces with the bus off. Every task of the tasked
+//! variants carries a typed kind, so fork-join's critical path sees its
+//! compute. The metrics registry's task count is the runtimes' own: one
+//! counter per quantity.
 //!
 //! Lives in its own integration-test binary: enabling the bus is
 //! process-global and sticky, so it must not leak into other tests.
 
 use miniamr::{Config, RunStats, Variant};
-use obs::report::Collector;
+use obs::report::{Collector, PerfReport};
 use obs::span::{Phase, SpanGraph};
 use vmpi::NetworkModel;
 
@@ -63,6 +65,28 @@ fn every_variant_emits_phase_spans_for_every_rank() {
         );
 
         let graph = SpanGraph::build(&events);
+        if variant != Variant::MpiOnly {
+            assert!(!graph.tasks.is_empty(), "{variant:?}: no task nodes");
+            let untyped: Vec<u64> = graph
+                .tasks
+                .values()
+                .filter(|t| t.kind == Some(Phase::Other))
+                .map(|t| t.id)
+                .collect();
+            assert!(
+                untyped.is_empty(),
+                "{variant:?}: tasks spawned without a kind: {untyped:?}"
+            );
+        }
+        if variant == Variant::ForkJoin {
+            let report = PerfReport::from_events(&events, dropped);
+            let compute_us: u64 = report
+                .timesteps
+                .iter()
+                .map(|t| t.breakdown.compute_us)
+                .sum();
+            assert!(compute_us > 0, "fork-join: no compute on the critical path");
+        }
         let ranks = graph.rank_stats();
         assert_eq!(
             ranks.iter().map(|r| r.rank).collect::<Vec<_>>(),

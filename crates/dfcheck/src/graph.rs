@@ -63,7 +63,7 @@ impl Graph {
                         per_obj.clear();
                         last_sync = Some(id);
                     }
-                    NodeKind::Task | NodeKind::TaskwaitOn => {
+                    NodeKind::Task(_) | NodeKind::TaskwaitOn => {
                         // Claim-table conflicts with the live window.
                         for a in &node.accesses {
                             if let Some(entries) = per_obj.get(&a.region.obj) {

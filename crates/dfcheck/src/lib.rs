@@ -59,11 +59,11 @@ pub fn check(model: &Model) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taskrt::{Access, BarrierKind, CommIntent, ObjId, Region, Submitter, TaskSpec};
+    use taskrt::{Access, BarrierKind, CommIntent, ObjId, Phase, Region, Submitter, TaskSpec};
 
-    fn task(label: &'static str, accesses: Vec<Access>, comm: Option<CommIntent>) -> TaskSpec<()> {
+    fn task(kind: Phase, accesses: Vec<Access>, comm: Option<CommIntent>) -> TaskSpec<()> {
         TaskSpec {
-            label,
+            kind,
             priority: 0,
             accesses,
             comm,
@@ -84,23 +84,23 @@ mod tests {
         let mut m = Model::default();
         let mut r0 = Recorder::new();
         r0.submit(task(
-            "send",
+            Phase::Send,
             vec![Access::read_write(Region::new(buf, 0..8))],
             Some(CommIntent::send(1, 7, 8)),
         ));
         r0.submit(task(
-            "send",
+            Phase::Send,
             vec![Access::read_write(Region::new(buf, 0..8))],
             Some(CommIntent::send(1, 7, 8)),
         ));
         let mut r1 = Recorder::new();
         r1.submit(task(
-            "recv",
+            Phase::Recv,
             vec![Access::write(Region::new(rbuf, 0..8))],
             Some(CommIntent::recv(0, 7, 8)),
         ));
         r1.submit(task(
-            "recv",
+            Phase::Recv,
             vec![Access::write(Region::new(rbuf, 0..8))],
             Some(CommIntent::recv(0, 7, 8)),
         ));
@@ -119,23 +119,23 @@ mod tests {
         let mut m = Model::default();
         let mut r0 = Recorder::new();
         r0.submit(task(
-            "send",
+            Phase::Send,
             vec![Access::read(Region::new(buf, 0..8))],
             Some(CommIntent::send(1, 7, 8)),
         ));
         r0.submit(task(
-            "send",
+            Phase::Send,
             vec![Access::read(Region::new(buf, 8..12))],
             Some(CommIntent::send(1, 7, 4)),
         ));
         let mut r1 = Recorder::new();
         r1.submit(task(
-            "recv",
+            Phase::Recv,
             vec![Access::write(Region::new(rbuf, 0..8))],
             Some(CommIntent::recv(0, 7, 8)),
         ));
         r1.submit(task(
-            "recv",
+            Phase::Recv,
             vec![Access::write(Region::new(rbuf, 8..12))],
             Some(CommIntent::recv(0, 7, 4)),
         ));
@@ -163,25 +163,25 @@ mod tests {
         let mut m = Model::default();
         let mut r0 = Recorder::new();
         r0.submit(task(
-            "send",
+            Phase::Send,
             vec![Access::read(Region::new(buf, 0..8))],
             Some(CommIntent::send(1, 7, 8)),
         ));
         r0.barrier(BarrierKind::Taskwait);
         r0.submit(task(
-            "send",
+            Phase::Send,
             vec![Access::read(Region::new(buf, 8..16))],
             Some(CommIntent::send(1, 7, 8)),
         ));
         let mut r1 = Recorder::new();
         r1.submit(task(
-            "recv",
+            Phase::Recv,
             vec![Access::write(Region::new(rbuf, 0..8))],
             Some(CommIntent::recv(0, 7, 8)),
         ));
         r1.barrier(BarrierKind::Taskwait);
         r1.submit(task(
-            "recv",
+            Phase::Recv,
             vec![Access::write(Region::new(rbuf, 8..16))],
             Some(CommIntent::recv(0, 7, 8)),
         ));
@@ -200,25 +200,25 @@ mod tests {
         let mut m = Model::default();
         let mut r0 = Recorder::new();
         r0.submit(task(
-            "send",
+            Phase::Send,
             vec![Access::read(Region::new(buf, 0..8))],
             Some(CommIntent::send(1, 7, 8)),
         ));
         r0.barrier(BarrierKind::TaskwaitOn(vec![Region::new(buf, 0..8)]));
         r0.submit(task(
-            "send",
+            Phase::Send,
             vec![Access::read(Region::new(buf, 8..16))],
             Some(CommIntent::send(1, 7, 8)),
         ));
         let mut r1 = Recorder::new();
         r1.submit(task(
-            "recv",
+            Phase::Recv,
             vec![Access::write(Region::new(rbuf, 0..8))],
             Some(CommIntent::recv(0, 7, 8)),
         ));
         r1.barrier(BarrierKind::Taskwait);
         r1.submit(task(
-            "recv",
+            Phase::Recv,
             vec![Access::write(Region::new(rbuf, 8..16))],
             Some(CommIntent::recv(0, 7, 8)),
         ));
@@ -235,18 +235,18 @@ mod tests {
         let mut m = Model::default();
         let mut r0 = Recorder::new();
         r0.submit(task(
-            "send",
+            Phase::Send,
             vec![Access::read(Region::new(buf, 0..8))],
             Some(CommIntent::send(1, 3, 8)),
         ));
         let mut r1 = Recorder::new();
         r1.submit(task(
-            "recv",
+            Phase::Recv,
             vec![Access::write(Region::new(rbuf, 0..6))],
             Some(CommIntent::recv(0, 3, 6)),
         ));
         r1.submit(task(
-            "recv",
+            Phase::Recv,
             vec![Access::write(Region::new(rbuf, 0..6))],
             Some(CommIntent::recv(0, 3, 6)),
         ));
@@ -267,23 +267,23 @@ mod tests {
         let mut m = Model::default();
         let mut r0 = Recorder::new();
         r0.submit(task(
-            "recv",
+            Phase::Recv,
             vec![Access::write(Region::new(a, 0..8))],
             Some(CommIntent::recv(1, 0, 8)),
         ));
         r0.submit(task(
-            "send",
+            Phase::Send,
             vec![Access::read(Region::new(a, 0..8))],
             Some(CommIntent::send(1, 1, 8)),
         ));
         let mut r1 = Recorder::new();
         r1.submit(task(
-            "recv",
+            Phase::Recv,
             vec![Access::write(Region::new(b, 0..8))],
             Some(CommIntent::recv(0, 1, 8)),
         ));
         r1.submit(task(
-            "send",
+            Phase::Send,
             vec![Access::read(Region::new(b, 0..8))],
             Some(CommIntent::send(0, 0, 8)),
         ));
@@ -306,7 +306,7 @@ mod tests {
         let mut r0 = Recorder::<()>::new();
         // Dead region + self-conflict warnings.
         r0.submit(task(
-            "stencil",
+            Phase::Stencil,
             vec![
                 Access::write(Region::new(o, 4..4)),
                 Access::read_write(Region::new(o, 0..8)),
@@ -317,7 +317,11 @@ mod tests {
         ingest(&mut m, 0, r0);
         // Undeclared footprint error.
         let mut r1 = Recorder::<()>::new();
-        r1.submit(task("pack", vec![Access::read(Region::new(o, 0..8))], None));
+        r1.submit(task(
+            Phase::Pack,
+            vec![Access::read(Region::new(o, 0..8))],
+            None,
+        ));
         ingest(&mut m, 1, r1);
         let id = m.by_rank[1][0];
         m.nodes[id].footprint = vec![Access::write(Region::new(o, 0..8))];
@@ -336,7 +340,7 @@ mod tests {
         let mut m = Model::default();
         let mut r0 = Recorder::<()>::new();
         r0.submit(task(
-            "unpack",
+            Phase::Unpack,
             vec![
                 Access::write(Region::new(o, 0..4)),
                 Access::write(Region::new(o, 4..8)),
@@ -356,13 +360,13 @@ mod tests {
         let mut m = Model::default();
         let mut r0 = Recorder::new();
         r0.submit(task(
-            "send",
+            Phase::Send,
             vec![Access::read(Region::new(o, 0..4))],
             Some(CommIntent::send(1, -7, 4)),
         ));
         let mut r1 = Recorder::new();
         r1.submit(task(
-            "recv",
+            Phase::Recv,
             vec![Access::write(Region::new(o, 0..4))],
             Some(CommIntent::recv(0, -7, 4)),
         ));
@@ -381,13 +385,13 @@ mod tests {
         let mut m = Model::default();
         let mut r0 = Recorder::new();
         r0.submit(task(
-            "send",
+            Phase::Send,
             vec![Access::read(Region::new(o, 0..4))],
             Some(CommIntent::send(1, vmpi::COLL_TAG_BASE, 4)),
         ));
         let mut r1 = Recorder::new();
         r1.submit(task(
-            "recv",
+            Phase::Recv,
             vec![Access::write(Region::new(o, 0..4))],
             Some(CommIntent::recv(0, vmpi::COLL_TAG_BASE, 4)),
         ));

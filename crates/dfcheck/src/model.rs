@@ -1,7 +1,7 @@
 //! The static model: task nodes, endpoints, barriers — and the
 //! [`Recorder`] that captures them through the [`Submitter`] seam.
 
-use taskrt::{Access, BarrierKind, CommIntent, Submitter, TaskSpec};
+use taskrt::{Access, BarrierKind, CommIntent, Phase, Submitter, TaskSpec};
 
 /// Where in the modeled schedule an event was recorded. Purely
 /// diagnostic — the passes derive ordering from the graph, not from
@@ -65,8 +65,9 @@ impl<W> Submitter<W> for Recorder<W> {
 /// How a node behaves in the wait-for graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeKind {
-    /// A regular task: ordered only by conflicting declared accesses.
-    Task,
+    /// A regular task of the given kind: ordered only by conflicting
+    /// declared accesses.
+    Task(Phase),
     /// `taskwait`: waits for *every* prior task of the rank; everything
     /// submitted later is ordered after it (main thread blocked).
     TaskwaitAll,
@@ -75,6 +76,18 @@ pub enum NodeKind {
     /// runtime implements it); everything submitted later is still
     /// ordered after it.
     TaskwaitOn,
+}
+
+impl NodeKind {
+    /// Name printed in reports: the task's kind (`"recv"`, `"pack"`,
+    /// ...) or the barrier's (`"taskwait"`, `"taskwait_on"`).
+    pub fn name(&self) -> &'static str {
+        match self {
+            NodeKind::Task(kind) => kind.name(),
+            NodeKind::TaskwaitAll => "taskwait",
+            NodeKind::TaskwaitOn => "taskwait_on",
+        }
+    }
 }
 
 /// One node of the model (task or barrier).
@@ -86,8 +99,6 @@ pub struct TaskNode {
     pub seq: usize,
     /// Graph behavior.
     pub kind: NodeKind,
-    /// Task label (`"recv"`, `"pack"`, `"taskwait"`, ...).
-    pub label: &'static str,
     /// Scheduling priority (diagnostic only).
     pub priority: i32,
     /// Declared accesses (for barriers: the waited regions).
@@ -148,8 +159,7 @@ impl Model {
                 Event::Task(spec, ctx) => TaskNode {
                     rank,
                     seq,
-                    kind: NodeKind::Task,
-                    label: spec.label,
+                    kind: NodeKind::Task(spec.kind),
                     priority: spec.priority,
                     accesses: spec.accesses,
                     comm: spec.comm,
@@ -158,11 +168,10 @@ impl Model {
                     detail: describe(&spec.work),
                 },
                 Event::Barrier(kind, ctx) => {
-                    let (kind, label, accesses) = match kind {
-                        BarrierKind::Taskwait => (NodeKind::TaskwaitAll, "taskwait", Vec::new()),
+                    let (kind, accesses) = match kind {
+                        BarrierKind::Taskwait => (NodeKind::TaskwaitAll, Vec::new()),
                         BarrierKind::TaskwaitOn(regions) => (
                             NodeKind::TaskwaitOn,
-                            "taskwait_on",
                             regions.into_iter().map(Access::read_write).collect(),
                         ),
                     };
@@ -170,7 +179,6 @@ impl Model {
                         rank,
                         seq,
                         kind,
-                        label,
                         priority: i32::MAX,
                         accesses,
                         comm: None,

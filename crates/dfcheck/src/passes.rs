@@ -214,7 +214,7 @@ pub fn check_deadlock(model: &Model, graph: &Graph, report: &mut Report) {
 ///   each other; legal, but usually a sign of a miscomputed region.
 pub fn check_access(model: &Model, report: &mut Report) {
     for node in &model.nodes {
-        if node.kind != NodeKind::Task {
+        if !matches!(node.kind, NodeKind::Task(_)) {
             continue;
         }
         for (i, a) in node.accesses.iter().enumerate() {

@@ -10,7 +10,7 @@ pub struct Site {
     pub rank: usize,
     /// Per-rank spawn order.
     pub seq: usize,
-    /// Task label.
+    /// Task kind name, or the barrier's (`NodeKind::name`).
     pub label: &'static str,
     /// Variant-specific description (message, direction, block...).
     pub detail: String,
@@ -34,7 +34,7 @@ impl Site {
         Site {
             rank: node.rank,
             seq: node.seq,
-            label: node.label,
+            label: node.kind.name(),
             detail: node.detail.clone(),
             epoch: node.ctx.epoch,
             stage: node.ctx.stage,

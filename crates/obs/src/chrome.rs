@@ -10,6 +10,7 @@
 //! quantities the paper reads off its Extrae/Paraver timelines.
 
 use crate::event::{Event, EventData, LANE_MAIN, LANE_NET, UNKNOWN_RANK};
+use crate::span::Phase;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
 
@@ -164,21 +165,24 @@ pub fn export_chrome(events: &[Event]) -> String {
         running: i64,
     }
     let mut counters: BTreeMap<u32, RankCounters> = BTreeMap::new();
-    // Open task executions: (rank, worker, task id) -> (start ts, label).
-    let mut open: BTreeMap<(u32, u32, u64), (u64, &'static str)> = BTreeMap::new();
+    // Open task executions: (rank, worker, task id) -> (start ts, kind).
+    let mut open: BTreeMap<(u32, u32, u64), (u64, Phase)> = BTreeMap::new();
 
     for e in &events {
         let pid = norm_rank(e.rank);
         let tid = tid_of(e.worker);
         let ts = e.t_us;
         match &e.data {
-            EventData::TaskCreated { id, label, preds } => {
+            EventData::TaskCreated { id, kind, preds } => {
                 em.instant(
                     "task_created",
                     pid,
                     tid,
                     ts,
-                    &format!("\"id\":{id},\"label\":\"{}\",\"preds\":{preds}", esc(label)),
+                    &format!(
+                        "\"id\":{id},\"label\":\"{}\",\"preds\":{preds}",
+                        kind.name()
+                    ),
                 );
             }
             EventData::TaskReady { id } => {
@@ -188,8 +192,8 @@ pub fn export_chrome(events: &[Event]) -> String {
                 let ready = c.ready;
                 em.counter("tasks_ready", pid, ts, &format!("\"ready\":{ready}"));
             }
-            EventData::TaskStart { id, label } => {
-                open.insert((pid, tid, *id), (ts, label));
+            EventData::TaskStart { id, kind } => {
+                open.insert((pid, tid, *id), (ts, *kind));
                 let c = counters.entry(pid).or_default();
                 c.ready = (c.ready - 1).max(0);
                 c.running += 1;
@@ -197,10 +201,10 @@ pub fn export_chrome(events: &[Event]) -> String {
                 em.counter("tasks_ready", pid, ts, &format!("\"ready\":{ready}"));
                 em.counter("tasks_running", pid, ts, &format!("\"running\":{running}"));
             }
-            EventData::TaskEnd { id, label } => {
-                let (start, label) = open.remove(&(pid, tid, *id)).unwrap_or((ts, *label));
+            EventData::TaskEnd { id, kind } => {
+                let (start, kind) = open.remove(&(pid, tid, *id)).unwrap_or((ts, *kind));
                 em.slice(
-                    label,
+                    kind.name(),
                     pid,
                     tid,
                     start,
@@ -434,7 +438,7 @@ pub fn export_chrome(events: &[Event]) -> String {
                 end_us,
             } => {
                 em.slice(
-                    kind,
+                    kind.name(),
                     pid,
                     tid,
                     *start_us,
@@ -467,9 +471,9 @@ pub fn export_chrome(events: &[Event]) -> String {
     let mut leftovers: Vec<_> = open.into_iter().collect();
     leftovers.sort_unstable_by_key(|&((pid, tid, id), _)| (pid, tid, id));
     let horizon = events.last().map(|e| e.t_us).unwrap_or(0);
-    for ((pid, tid, id), (start, label)) in leftovers {
+    for ((pid, tid, id), (start, kind)) in leftovers {
         em.slice(
-            label,
+            kind.name(),
             pid,
             tid,
             start,
@@ -506,7 +510,7 @@ mod tests {
                 LANE_MAIN,
                 EventData::TaskCreated {
                     id: 1,
-                    label: "stencil",
+                    kind: Phase::Stencil,
                     preds: 0,
                 },
             ),
@@ -518,7 +522,7 @@ mod tests {
                 0,
                 EventData::TaskStart {
                     id: 1,
-                    label: "stencil",
+                    kind: Phase::Stencil,
                 },
             ),
             ev(
@@ -528,7 +532,7 @@ mod tests {
                 0,
                 EventData::TaskEnd {
                     id: 1,
-                    label: "stencil",
+                    kind: Phase::Stencil,
                 },
             ),
             ev(
@@ -670,7 +674,7 @@ mod tests {
                 0,
                 EventData::TaskStart {
                     id: 9,
-                    label: "pack",
+                    kind: Phase::Pack,
                 },
             ),
             ev(1, 30, 0, 0, EventData::TaskReady { id: 10 }),

@@ -6,8 +6,8 @@
 //! predecessor edges backwards, attributing every microsecond of
 //! `[window start, terminal finish]` to exactly one category:
 //!
-//! * time inside the current node → the node's [`Category`] (task label
-//!   mapping, or `transit` for message nodes);
+//! * time inside the current node → the node's [`Category`] (the task
+//!   kind's [`crate::span::Phase::category`], or `transit` for messages);
 //! * causal gaps — the stretch between a predecessor's finish and the
 //!   current node's start — → `wait` (the node existed but could not
 //!   run: dependency released late, or scheduler delay);
@@ -247,7 +247,10 @@ fn walk_window(
         let (cat, node_start) = match node {
             NodeRef::Task(id) => {
                 let t = &graph.tasks[&id];
-                (Category::of_label(t.label), t.start_us)
+                (
+                    t.kind.map_or(Category::Runtime, |k| k.category()),
+                    t.start_us,
+                )
             }
             NodeRef::Msg(id) => (Category::Transit, graph.messages[&id].posted_us),
         };
@@ -357,6 +360,7 @@ fn best_pred(graph: &SpanGraph, lanes: &Lanes, node: NodeRef, cur: u64) -> Optio
 mod tests {
     use super::*;
     use crate::event::{Event, EventData};
+    use crate::span::Phase;
 
     fn ev(seq: u64, t_us: u64, rank: u32, data: EventData) -> Event {
         Event {
@@ -368,10 +372,10 @@ mod tests {
         }
     }
 
-    fn task(seq: u64, rank: u32, id: u64, label: &'static str, s: u64, e: u64) -> Vec<Event> {
+    fn task(seq: u64, rank: u32, id: u64, kind: Phase, s: u64, e: u64) -> Vec<Event> {
         vec![
-            ev(seq, s, rank, EventData::TaskStart { id, label }),
-            ev(seq + 1, e, rank, EventData::TaskEnd { id, label }),
+            ev(seq, s, rank, EventData::TaskStart { id, kind }),
+            ev(seq + 1, e, rank, EventData::TaskEnd { id, kind }),
             ev(seq + 2, e, rank, EventData::TaskCompleted { id }),
         ]
     }
@@ -379,8 +383,8 @@ mod tests {
     #[test]
     fn chain_decomposes_exactly() {
         // pack [0,10] -> dep -> stencil [15,40]; window [0,40].
-        let mut events = task(1, 0, 1, "pack", 0, 10);
-        events.extend(task(10, 0, 2, "stencil", 15, 40));
+        let mut events = task(1, 0, 1, Phase::Pack, 0, 10);
+        events.extend(task(10, 0, 2, Phase::Stencil, 15, 40));
         events.push(ev(20, 0, 0, EventData::DepEdge { pred: 1, succ: 2 }));
         let g = SpanGraph::build(&events);
         let paths = analyze(&g);
@@ -401,7 +405,7 @@ mod tests {
     fn message_edge_contributes_transit() {
         // Rank 0: pack [0,10] posts msg at 8, delivered at 30 on rank 1,
         // consumed by stencil [30,50] (msg_pred edge). Window [0,50].
-        let mut events = task(1, 0, 1, "pack", 0, 10);
+        let mut events = task(1, 0, 1, Phase::Pack, 0, 10);
         events.push(ev(
             4,
             8,
@@ -422,7 +426,7 @@ mod tests {
             1,
             EventData::TaskStart {
                 id: 2,
-                label: "stencil",
+                kind: Phase::Stencil,
             },
         ));
         events.push(ev(
@@ -445,7 +449,7 @@ mod tests {
             1,
             EventData::TaskEnd {
                 id: 2,
-                label: "stencil",
+                kind: Phase::Stencil,
             },
         ));
         events.push(ev(8, 50, 1, EventData::TaskCompleted { id: 2 }));
@@ -468,8 +472,8 @@ mod tests {
             ev(1, 0, 0, EventData::TimestepMark { tstep: 0 }),
             ev(2, 100, 0, EventData::TimestepMark { tstep: 1 }),
         ];
-        events.extend(task(10, 0, 1, "stencil", 10, 90));
-        events.extend(task(20, 0, 2, "stencil", 110, 200));
+        events.extend(task(10, 0, 1, Phase::Stencil, 10, 90));
+        events.extend(task(20, 0, 2, Phase::Stencil, 110, 200));
         let g = SpanGraph::build(&events);
         let paths = analyze(&g);
         assert_eq!(paths.len(), 2);
@@ -498,7 +502,7 @@ mod tests {
                 0,
                 EventData::TaskStart {
                     id: 1,
-                    label: "stencil",
+                    kind: Phase::Stencil,
                 },
             ),
             ev(
@@ -507,7 +511,7 @@ mod tests {
                 0,
                 EventData::TaskEnd {
                     id: 1,
-                    label: "stencil",
+                    kind: Phase::Stencil,
                 },
             ),
             ev(5, 80, 0, EventData::TaskCompleted { id: 1 }),
@@ -523,8 +527,8 @@ mod tests {
     fn cycle_terminates_and_stays_exact() {
         // Mutual DepEdges (cannot happen in a real run) must not hang;
         // the revisit guard charges the remainder to wait.
-        let mut events = task(1, 0, 1, "stencil", 0, 10);
-        events.extend(task(10, 0, 2, "stencil", 5, 20));
+        let mut events = task(1, 0, 1, Phase::Stencil, 0, 10);
+        events.extend(task(10, 0, 2, Phase::Stencil, 5, 20));
         events.push(ev(20, 0, 0, EventData::DepEdge { pred: 1, succ: 2 }));
         events.push(ev(21, 0, 0, EventData::DepEdge { pred: 2, succ: 1 }));
         let g = SpanGraph::build(&events);
@@ -545,7 +549,7 @@ mod tests {
                 0,
                 EventData::TaskStart {
                     id: 1,
-                    label: "send",
+                    kind: Phase::Send,
                 },
             ),
             ev(
@@ -554,7 +558,7 @@ mod tests {
                 0,
                 EventData::TaskEnd {
                     id: 1,
-                    label: "send",
+                    kind: Phase::Send,
                 },
             ),
             ev(
@@ -578,7 +582,7 @@ mod tests {
                 1,
                 EventData::TaskStart {
                     id: 2,
-                    label: "stencil",
+                    kind: Phase::Stencil,
                 },
             ),
             ev(
@@ -601,7 +605,7 @@ mod tests {
                 1,
                 EventData::TaskEnd {
                     id: 2,
-                    label: "stencil",
+                    kind: Phase::Stencil,
                 },
             ),
             ev(8, 60, 1, EventData::TaskCompleted { id: 2 }),
@@ -625,7 +629,7 @@ mod tests {
         // stencil [0,20] on rank 0, then a task-less send (task = 0) at
         // 25, delivered at 40 on rank 1. The terminal message must chain
         // to the stencil instead of writing the whole window off as wait.
-        let mut events = task(1, 0, 1, "stencil", 0, 20);
+        let mut events = task(1, 0, 1, Phase::Stencil, 0, 20);
         events.push(ev(
             10,
             25,
@@ -668,8 +672,8 @@ mod tests {
     fn lane_order_links_tasks_without_dep_edges() {
         // Two tasks on the same worker lane, no DepEdge recorded (e.g.
         // dropped by ring overflow). The lane edge keeps the chain alive.
-        let mut events = task(1, 0, 1, "pack", 0, 10);
-        events.extend(task(10, 0, 2, "stencil", 20, 30));
+        let mut events = task(1, 0, 1, Phase::Pack, 0, 10);
+        events.extend(task(10, 0, 2, Phase::Stencil, 20, 30));
         let g = SpanGraph::build(&events);
         let paths = analyze(&g);
         let p = &paths[0];

@@ -1,10 +1,14 @@
 //! Event vocabulary of the bus.
 //!
 //! One enum covers every layer: task lifecycle (taskrt), message
-//! lifecycle (vmpi), event holds (tampi via taskrt), and coarse phase
-//! spans (`span::timed` in the miniAMR variants). Variants carry only
-//! `Copy` payloads plus `&'static str` labels so an [`Event`] is small
-//! and cheap to move through the ring buffers.
+//! lifecycle (vmpi), event holds (tampi via taskrt), and phase spans of
+//! work outside tasks (`span::timed` in the miniAMR variants). Task
+//! lifecycle events and spans carry a typed [`Phase`] — the one task-kind
+//! taxonomy — so each unit of work is recorded once, with its kind.
+//! Variants carry only `Copy` payloads plus `&'static str` names so an
+//! [`Event`] is small and cheap to move through the ring buffers.
+
+use crate::span::Phase;
 
 /// Lane id of a rank's main thread (outside any task worker).
 pub const LANE_MAIN: u32 = u32::MAX;
@@ -38,8 +42,8 @@ pub enum EventData {
     TaskCreated {
         /// Task id.
         id: u64,
-        /// Task label.
-        label: &'static str,
+        /// Task kind.
+        kind: Phase,
         /// Dependency edges created at registration.
         preds: u32,
     },
@@ -52,15 +56,15 @@ pub enum EventData {
     TaskStart {
         /// Task id.
         id: u64,
-        /// Task label.
-        label: &'static str,
+        /// Task kind.
+        kind: Phase,
     },
     /// taskrt: the task body returned.
     TaskEnd {
         /// Task id.
         id: u64,
-        /// Task label.
-        label: &'static str,
+        /// Task kind.
+        kind: Phase,
     },
     /// taskrt: the body finished but `holds` event holds are still
     /// outstanding (blocked-on-event, the TAMPI_Iwait state).
@@ -252,19 +256,20 @@ pub enum EventData {
         /// Retransmissions it took.
         retries: u32,
     },
-    /// core: a coarse phase interval recorded by `span::timed`
-    /// (stencil, pack, unpack, ... — the Fig. 1–3 palette of
-    /// `span::Phase`).
+    /// core: a phase interval of work outside any task, recorded by
+    /// `span::timed` (MPI-only's stencil, pack, unpack, ...; fork-join's
+    /// main-thread waits). Task bodies are never wrapped in one: their
+    /// `TaskStart`/`TaskEnd` carry the kind.
     Span {
-        /// Phase kind name.
-        kind: &'static str,
+        /// Phase kind.
+        kind: Phase,
         /// Start, microseconds since the bus epoch.
         start_us: u64,
         /// End, microseconds since the bus epoch.
         end_us: u64,
     },
     /// vmpi/taskrt: the calling thread blocked waiting for progress
-    /// (`"request_wait"`, `"waitany"`, `"taskwait"`). Unlike [`Span`]
+    /// (`"request_wait"`, `"waitany"`, `"taskwait"`). Unlike [`Span`](Self::Span)
     /// these are emitted only when the wait actually parked the thread.
     WaitSpan {
         /// Wait kind name.

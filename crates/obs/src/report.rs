@@ -424,6 +424,7 @@ fn append_line(path: &std::path::Path, line: &str) -> std::io::Result<()> {
 mod tests {
     use super::*;
     use crate::event::EventData;
+    use crate::span::Phase;
 
     fn ev(seq: u64, t_us: u64, rank: u32, data: EventData) -> Event {
         Event {
@@ -444,7 +445,7 @@ mod tests {
                 0,
                 EventData::TaskStart {
                     id: 1,
-                    label: "pack",
+                    kind: Phase::Pack,
                 },
             ),
             ev(
@@ -453,7 +454,7 @@ mod tests {
                 0,
                 EventData::TaskEnd {
                     id: 1,
-                    label: "pack",
+                    kind: Phase::Pack,
                 },
             ),
             ev(4, 20, 0, EventData::TaskCompleted { id: 1 }),
@@ -477,7 +478,7 @@ mod tests {
                 1,
                 EventData::TaskStart {
                     id: 2,
-                    label: "stencil",
+                    kind: Phase::Stencil,
                 },
             ),
             ev(
@@ -500,7 +501,7 @@ mod tests {
                 1,
                 EventData::TaskEnd {
                     id: 2,
-                    label: "stencil",
+                    kind: Phase::Stencil,
                 },
             ),
             ev(9, 70, 1, EventData::TaskCompleted { id: 2 }),
@@ -580,14 +581,14 @@ mod tests {
             0,
             EventData::TaskStart {
                 id: 900_001,
-                label: "stencil",
+                kind: Phase::Stencil,
             },
         );
         bus.emit_for_rank(
             0,
             EventData::TaskEnd {
                 id: 900_001,
-                label: "stencil",
+                kind: Phase::Stencil,
             },
         );
         bus.emit_for_rank(0, EventData::TaskCompleted { id: 900_001 });

@@ -19,14 +19,17 @@
 //! per-timestep critical paths; [`crate::report`] folds the same graph
 //! into per-rank busy/idle/overlap attribution.
 //!
-//! The module also owns the coarse phase palette of the paper's
-//! Figs. 1–3: [`Phase`] names the work kinds, [`timed`] records one
-//! phase interval as an `EventData::Span` on the bus, and
+//! The module also owns the one task-kind taxonomy: [`Phase`] names the
+//! kinds of work of the paper's Figs. 1–3, every task carries one from
+//! spawn to its `TaskStart`/`TaskEnd` events, and [`Phase::category`]
+//! maps it to its critical-path [`Category`]. Work outside any task is
+//! recorded by [`timed`] as an `EventData::Span` of the same kinds. The
+//! graph keeps one list of phase intervals per rank — task bodies by
+//! kind plus those spans, each unit of work once — and
 //! [`SpanGraph::phase_totals`], [`SpanGraph::render_ascii`] and
 //! [`RankStats`] (overlap via the sweep-line [`overlap_fraction`],
-//! largest idle gap) read those spans back. One stream, one set of
-//! readers: the CLI report and the `trace_figs` harness print the same
-//! numbers.
+//! largest idle gap) read that list. One stream, one set of readers: the
+//! CLI report and the `trace_figs` harness print the same numbers.
 
 use crate::event::{Event, EventData};
 use std::collections::HashMap;
@@ -45,7 +48,7 @@ pub enum Category {
     /// Blocked time: parked waits and causal gaps on the critical path.
     Wait,
     /// Runtime overhead: send/recv issue tasks, exchange bookkeeping,
-    /// and anything unclassified.
+    /// the runtime's own waiter tasks, and kind-less tasks.
     Runtime,
 }
 
@@ -60,34 +63,13 @@ impl Category {
             Category::Runtime => "runtime",
         }
     }
-
-    /// Classifies a task label (or coarse span kind) into a category.
-    /// Matching is by prefix so decorated labels ("stencil b12") land in
-    /// the same bucket as their plain form.
-    pub fn of_label(label: &str) -> Category {
-        const COMPUTE: [&str; 5] = [
-            "stencil",
-            "checksum_local",
-            "checksum_remote",
-            "boundary",
-            "refine_copy",
-        ];
-        const PACK: [&str; 3] = ["pack", "unpack", "local_copy"];
-        if label.starts_with("wait") {
-            return Category::Wait;
-        }
-        if COMPUTE.iter().any(|p| label.starts_with(p)) {
-            return Category::Compute;
-        }
-        if PACK.iter().any(|p| label.starts_with(p)) {
-            return Category::Pack;
-        }
-        Category::Runtime
-    }
 }
 
-/// Kind of phase work, mirroring the task palette of Figs. 1 and 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Kind of a unit of work: the one task-kind taxonomy, mirroring the
+/// task palette of Figs. 1 and 3. Every task carries one from spawn
+/// (`taskrt::TaskBuilder::kind`) to analysis; work outside any task
+/// (MPI-only, fork-join's main-thread waits) records it via [`timed`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Stencil sweep over one block.
     Stencil,
@@ -101,6 +83,8 @@ pub enum Phase {
     Recv,
     /// Intra-process neighbor copy.
     LocalCopy,
+    /// Physical-boundary ghost fill of one block face.
+    Boundary,
     /// Local checksum reduction.
     ChecksumLocal,
     /// Global checksum reduction + validation.
@@ -110,28 +94,37 @@ pub enum Phase {
     /// Refinement: block exchange (pack/send/recv/unpack of whole
     /// blocks).
     RefineExchange,
-    /// Waitany/waitall progress loops (MPI-only; the green regions of
-    /// Fig. 2).
+    /// Waitany/waitall progress loops (MPI-only and fork-join's main
+    /// thread; the green regions of Fig. 2).
     Wait,
+    /// The runtime's own `taskwait_on` waiter task.
+    TaskwaitOn,
+    /// A task spawned without a kind (`Runtime::spawn`, or a builder
+    /// without `.kind`).
+    Other,
 }
 
 impl Phase {
     /// Every phase, in timeline lane order.
-    pub const ALL: [Phase; 11] = [
+    pub const ALL: [Phase; 14] = [
         Phase::Stencil,
         Phase::Pack,
         Phase::Unpack,
         Phase::Send,
         Phase::Recv,
         Phase::LocalCopy,
+        Phase::Boundary,
         Phase::ChecksumLocal,
         Phase::ChecksumRemote,
         Phase::RefineCopy,
         Phase::RefineExchange,
         Phase::Wait,
+        Phase::TaskwaitOn,
+        Phase::Other,
     ];
 
-    /// Short stable name: the `kind` of the phase's `Span` events.
+    /// Short stable name: what reports, sanitizer diagnostics and the
+    /// Chrome export print for a task or span of this kind.
     pub fn name(&self) -> &'static str {
         match self {
             Phase::Stencil => "stencil",
@@ -140,11 +133,32 @@ impl Phase {
             Phase::Send => "send",
             Phase::Recv => "recv",
             Phase::LocalCopy => "local_copy",
+            Phase::Boundary => "boundary",
             Phase::ChecksumLocal => "checksum_local",
             Phase::ChecksumRemote => "checksum_remote",
             Phase::RefineCopy => "refine_copy",
             Phase::RefineExchange => "refine_exchange",
             Phase::Wait => "wait",
+            Phase::TaskwaitOn => "taskwait_on",
+            Phase::Other => "other",
+        }
+    }
+
+    /// The critical-path category this kind of work is charged to.
+    pub fn category(&self) -> Category {
+        match self {
+            Phase::Stencil
+            | Phase::ChecksumLocal
+            | Phase::ChecksumRemote
+            | Phase::Boundary
+            | Phase::RefineCopy => Category::Compute,
+            Phase::Pack | Phase::Unpack | Phase::LocalCopy => Category::Pack,
+            Phase::Wait => Category::Wait,
+            Phase::Send
+            | Phase::Recv
+            | Phase::RefineExchange
+            | Phase::TaskwaitOn
+            | Phase::Other => Category::Runtime,
         }
     }
 
@@ -157,19 +171,23 @@ impl Phase {
             Phase::Send => '>',
             Phase::Recv => '<',
             Phase::LocalCopy => 'c',
+            Phase::Boundary => 'b',
             Phase::ChecksumLocal => 'k',
             Phase::ChecksumRemote => 'K',
             Phase::RefineCopy => 'r',
             Phase::RefineExchange => 'x',
             Phase::Wait => 'w',
+            Phase::TaskwaitOn => 'T',
+            Phase::Other => '?',
         }
     }
 }
 
-/// Runs `f` as one interval of `phase`. With the bus enabled the
-/// interval is emitted as an `EventData::Span` in bus time, attributed
-/// to the calling thread's rank and lane; disabled, this is one relaxed
-/// load and a branch around `f`.
+/// Runs `f` as one interval of `phase` outside any task. With the bus
+/// enabled the interval is emitted as an `EventData::Span` in bus time,
+/// attributed to the calling thread's rank and lane; disabled, this is
+/// one relaxed load and a branch around `f`. Task bodies need no
+/// wrapper: their `TaskStart`/`TaskEnd` already carry the kind.
 #[inline]
 pub fn timed<R>(phase: Phase, f: impl FnOnce() -> R) -> R {
     let Some(bus) = crate::bus() else {
@@ -179,7 +197,7 @@ pub fn timed<R>(phase: Phase, f: impl FnOnce() -> R) -> R {
     let out = f();
     let end_us = bus.now_us();
     bus.emit(EventData::Span {
-        kind: phase.name(),
+        kind: phase,
         start_us,
         end_us,
     });
@@ -191,8 +209,9 @@ pub fn timed<R>(phase: Phase, f: impl FnOnce() -> R) -> R {
 pub struct TaskNode {
     /// taskrt task id.
     pub id: u64,
-    /// Task label (empty if the TaskStart event was dropped).
-    pub label: &'static str,
+    /// Task kind; `None` until its `TaskStart` (or, if that was
+    /// dropped, its `TaskEnd`) is seen.
+    pub kind: Option<Phase>,
     /// Rank the task executed on.
     pub rank: u32,
     /// Worker lane the task executed on (tasks on one lane run in
@@ -267,8 +286,7 @@ pub struct RankStats {
     pub busy_us: u64,
     /// Rank wall span minus busy, microseconds.
     pub idle_us: u64,
-    /// Sweep-line overlap fraction (coarse `Span` events when present,
-    /// task intervals keyed by label otherwise).
+    /// Sweep-line overlap fraction over the rank's phase intervals.
     pub overlap_fraction: f64,
     /// Tasks executed on this rank.
     pub tasks: u64,
@@ -292,8 +310,10 @@ pub struct SpanGraph {
     pub messages: HashMap<u64, MessageNode>,
     /// Parked-wait intervals.
     pub waits: Vec<WaitNode>,
-    /// Coarse phase spans: `(rank, kind, start_us, end_us)`.
-    pub spans: Vec<(u32, &'static str, u64, u64)>,
+    /// Phase intervals `(kind, start_us, end_us)` per rank: each task
+    /// body by its kind, plus the `Span` events of work outside tasks.
+    /// Every unit of work appears once.
+    pub phases: HashMap<u32, Vec<(Phase, u64, u64)>>,
     /// Rank-0 timestep marks `(tstep, t_us)`, sorted by time. These
     /// delimit the analyzer's per-timestep windows.
     pub timesteps: Vec<(u32, u64)>,
@@ -317,23 +337,27 @@ impl SpanGraph {
             g.min_us = g.min_us.min(ev.t_us);
             g.max_us = g.max_us.max(ev.t_us);
             match &ev.data {
-                EventData::TaskStart { id, label } => {
+                EventData::TaskStart { id, kind } => {
                     let t = g.tasks.entry(*id).or_default();
                     t.id = *id;
-                    t.label = label;
+                    t.kind = Some(*kind);
                     t.rank = ev.rank;
                     t.worker = ev.worker;
                     t.start_us = ev.t_us;
                 }
-                EventData::TaskEnd { id, label } => {
+                EventData::TaskEnd { id, kind } => {
                     let t = g.tasks.entry(*id).or_default();
                     t.id = *id;
-                    if t.label.is_empty() {
-                        t.label = label;
+                    t.end_us = ev.t_us;
+                    if t.kind.is_some() {
+                        // Start seen: the body interval is known.
+                        let phases = g.phases.entry(t.rank).or_default();
+                        phases.push((*kind, t.start_us, t.end_us));
+                    } else {
+                        t.kind = Some(*kind);
                         t.rank = ev.rank;
                         t.worker = ev.worker;
                     }
-                    t.end_us = ev.t_us;
                 }
                 EventData::TaskCompleted { id } => {
                     let t = g.tasks.entry(*id).or_default();
@@ -410,7 +434,8 @@ impl SpanGraph {
                 } => {
                     g.min_us = g.min_us.min(*start_us);
                     g.max_us = g.max_us.max(*end_us);
-                    g.spans.push((ev.rank, kind, *start_us, *end_us));
+                    let phases = g.phases.entry(ev.rank).or_default();
+                    phases.push((*kind, *start_us, *end_us));
                 }
                 EventData::TimestepMark { tstep } if ev.rank == 0 => {
                     g.timesteps.push((*tstep, ev.t_us));
@@ -431,30 +456,23 @@ impl SpanGraph {
 
     /// Per-rank busy/idle/overlap attribution, sorted by rank.
     pub fn rank_stats(&self) -> Vec<RankStats> {
-        // Busy intervals per rank: task bodies plus coarse spans (the
-        // union de-duplicates the task-inside-span case). Zero-length
-        // spans are sub-µs work: they add no busy time but do close gaps.
-        let mut busy: HashMap<u32, Vec<(u64, u64)>> = HashMap::new();
         let mut tasks_per: HashMap<u32, u64> = HashMap::new();
         for t in self.tasks.values() {
             if t.end_us > t.start_us {
-                busy.entry(t.rank).or_default().push((t.start_us, t.end_us));
                 *tasks_per.entry(t.rank).or_default() += 1;
             }
         }
-        for &(rank, _, s, e) in &self.spans {
-            if e >= s {
-                busy.entry(rank).or_default().push((s, e));
-            }
-        }
-        let mut ranks: Vec<u32> = busy.keys().copied().collect();
+        let mut ranks: Vec<u32> = self.phases.keys().copied().collect();
         ranks.sort_unstable();
         let mut out = Vec::with_capacity(ranks.len());
         for rank in ranks {
-            let intervals = &busy[&rank];
-            let (busy_us, largest_gap_us) = union_and_gap(intervals.clone());
+            // Zero-length intervals are sub-µs work: they add no busy
+            // time but do close gaps.
+            let intervals: Vec<(u64, u64)> =
+                self.phases[&rank].iter().map(|&(_, s, e)| (s, e)).collect();
             let lo = intervals.iter().map(|&(s, _)| s).min().unwrap_or(0);
             let hi = intervals.iter().map(|&(_, e)| e).max().unwrap_or(0);
+            let (busy_us, largest_gap_us) = union_and_gap(intervals);
             let (waits, wait_us) = self
                 .waits
                 .iter()
@@ -476,51 +494,51 @@ impl SpanGraph {
         out
     }
 
-    /// Total `Span` time per phase on one rank, in [`Phase::ALL`] order;
-    /// phases with no span on the rank are omitted.
+    /// One rank's phase intervals (empty if it recorded none).
+    fn rank_phases(&self, rank: u32) -> &[(Phase, u64, u64)] {
+        self.phases.get(&rank).map_or(&[], Vec::as_slice)
+    }
+
+    /// Total phase time per kind on one rank, in [`Phase::ALL`] order;
+    /// kinds with no interval on the rank are omitted.
     pub fn phase_totals(&self, rank: u32) -> Vec<(Phase, u64)> {
+        let phases = self.rank_phases(rank);
         Phase::ALL
             .iter()
             .filter_map(|&p| {
-                let lens: Vec<u64> = self
-                    .spans
+                let lens: Vec<u64> = phases
                     .iter()
-                    .filter(|&&(r, k, ..)| r == rank && k == p.name())
-                    .map(|&(.., s, e)| e.saturating_sub(s))
+                    .filter(|&&(k, ..)| k == p)
+                    .map(|&(_, s, e)| e.saturating_sub(s))
                     .collect();
                 (!lens.is_empty()).then(|| (p, lens.iter().sum()))
             })
             .collect()
     }
 
-    /// Renders one rank's phase spans as a Paraver-style ASCII timeline:
-    /// one lane per [`Phase`] that occurs, a glyph per time bucket in
-    /// which at least one span of that phase was active, over the rank's
-    /// first-start..last-end range. The textual counterpart of the
-    /// paper's Figs. 1–3.
+    /// Renders one rank's phase intervals as a Paraver-style ASCII
+    /// timeline: one lane per [`Phase`] that occurs, a glyph per time
+    /// bucket in which at least one interval of that phase was active,
+    /// over the rank's first-start..last-end range. The textual
+    /// counterpart of the paper's Figs. 1–3.
     pub fn render_ascii(&self, rank: u32, width: usize) -> String {
-        let spans: Vec<(&'static str, u64, u64)> = self
-            .spans
-            .iter()
-            .filter(|&&(r, ..)| r == rank)
-            .map(|&(_, k, s, e)| (k, s, e))
-            .collect();
-        let lo = spans.iter().map(|&(_, s, _)| s).min().unwrap_or(0);
-        let hi = spans.iter().map(|&(.., e)| e).max().unwrap_or(0);
+        let phases = self.rank_phases(rank);
+        let lo = phases.iter().map(|&(_, s, _)| s).min().unwrap_or(0);
+        let hi = phases.iter().map(|&(.., e)| e).max().unwrap_or(0);
         if hi <= lo || width == 0 {
             return String::from("(empty trace)\n");
         }
         // Integer bucket math: bucket b covers the half-open time range
-        // [lo + b*total/width, lo + (b+1)*total/width). A span ending
-        // exactly on a bucket boundary does not spill into the next
-        // bucket, and a zero-length span inside the range still gets one
-        // glyph.
+        // [lo + b*total/width, lo + (b+1)*total/width). An interval
+        // ending exactly on a bucket boundary does not spill into the
+        // next bucket, and a zero-length interval inside the range still
+        // gets one glyph.
         let total = (hi - lo) as u128;
         let mut out = String::new();
         for phase in Phase::ALL {
             let mut lane = vec![' '; width];
             let mut any = false;
-            for &(_, s, e) in spans.iter().filter(|&&(k, ..)| k == phase.name()) {
+            for &(_, s, e) in phases.iter().filter(|&&(k, ..)| k == phase) {
                 let b = ((s - lo) as u128 * width as u128 / total) as usize;
                 if b >= width {
                     continue;
@@ -546,39 +564,14 @@ impl SpanGraph {
         out
     }
 
-    /// Sweep-line overlap fraction for one rank. Prefers the coarse
-    /// phase `Span` events (see [`timed`]); ranks without any fall back
-    /// to task intervals keyed by label.
+    /// Sweep-line overlap fraction of one rank's phase intervals.
     pub fn rank_overlap(&self, rank: u32) -> f64 {
-        let mut kinds: HashMap<&'static str, u32> = HashMap::new();
-        let intern = |k: &'static str, kinds: &mut HashMap<&'static str, u32>| -> u32 {
-            let next = kinds.len() as u32;
-            *kinds.entry(k).or_insert(next)
-        };
-        let mut spans: Vec<(u32, u64, u64)> = self
-            .spans
+        let spans: Vec<(u32, u64, u64)> = self
+            .rank_phases(rank)
             .iter()
-            .filter(|&&(r, ..)| r == rank)
-            .map(|&(_, k, s, e)| (intern(k, &mut kinds), s, e))
+            .map(|&(k, s, e)| (k as u32, s, e))
             .collect();
-        if spans.is_empty() {
-            spans = self
-                .tasks
-                .values()
-                .filter(|t| t.rank == rank && t.end_us > 0)
-                .map(|t| (intern(t.label, &mut kinds), t.start_us, t.end_us))
-                .collect();
-        }
         overlap_fraction(&spans)
-    }
-
-    /// Mean per-rank overlap fraction over ranks that recorded anything.
-    pub fn mean_overlap(&self) -> f64 {
-        let stats = self.rank_stats();
-        if stats.is_empty() {
-            return 0.0;
-        }
-        stats.iter().map(|r| r.overlap_fraction).sum::<f64>() / stats.len() as f64
     }
 }
 
@@ -758,7 +751,7 @@ pub fn blocked_chain_report(events: &[Event]) -> String {
     );
     for (i, (id, awaiting)) in best.iter().enumerate() {
         let t = &graph.tasks[id];
-        let label = if t.label.is_empty() { "?" } else { t.label };
+        let label = t.kind.map_or("?", |k| k.name());
         let arrow = if i == 0 { "  " } else { "  -> " };
         let _ = write!(
             out,
@@ -833,16 +826,40 @@ mod tests {
     }
 
     #[test]
-    fn category_mapping() {
-        assert_eq!(Category::of_label("stencil"), Category::Compute);
-        assert_eq!(Category::of_label("checksum_remote"), Category::Compute);
-        assert_eq!(Category::of_label("pack"), Category::Pack);
-        assert_eq!(Category::of_label("unpack b3"), Category::Pack);
-        assert_eq!(Category::of_label("local_copy"), Category::Pack);
-        assert_eq!(Category::of_label("waitany"), Category::Wait);
-        assert_eq!(Category::of_label("send"), Category::Runtime);
-        assert_eq!(Category::of_label("exchange_recv"), Category::Runtime);
-        assert_eq!(Category::of_label("mystery"), Category::Runtime);
+    fn category_pins_the_former_label_prefix_mapping() {
+        // The string-prefix classifier that `Phase::category` replaced,
+        // kept here as the reference it must agree with for every kind.
+        fn by_prefix(label: &str) -> Category {
+            const COMPUTE: [&str; 5] = [
+                "stencil",
+                "checksum_local",
+                "checksum_remote",
+                "boundary",
+                "refine_copy",
+            ];
+            const PACK: [&str; 3] = ["pack", "unpack", "local_copy"];
+            if label.starts_with("wait") {
+                Category::Wait
+            } else if COMPUTE.iter().any(|p| label.starts_with(p)) {
+                Category::Compute
+            } else if PACK.iter().any(|p| label.starts_with(p)) {
+                Category::Pack
+            } else {
+                Category::Runtime
+            }
+        }
+        for p in Phase::ALL {
+            assert_eq!(p.category(), by_prefix(p.name()), "{p:?}");
+        }
+        // Names are distinct, so every kind is its own lane.
+        let names: std::collections::HashSet<_> = Phase::ALL.iter().map(|p| p.name()).collect();
+        assert_eq!(names.len(), Phase::ALL.len());
+        // The former labels of the refinement exchange tasks and of
+        // kind-less tasks were runtime overhead too.
+        for old in ["exchange_send", "exchange_recv"] {
+            assert_eq!(by_prefix(old), Phase::RefineExchange.category());
+        }
+        assert_eq!(by_prefix(""), Phase::Other.category());
     }
 
     #[test]
@@ -854,7 +871,7 @@ mod tests {
                 0,
                 EventData::TaskStart {
                     id: 1,
-                    label: "pack",
+                    kind: Phase::Pack,
                 },
             ),
             ev(
@@ -863,7 +880,7 @@ mod tests {
                 0,
                 EventData::TaskEnd {
                     id: 1,
-                    label: "pack",
+                    kind: Phase::Pack,
                 },
             ),
             ev(3, 21, 0, EventData::TaskCompleted { id: 1 }),
@@ -888,7 +905,7 @@ mod tests {
                 1,
                 EventData::TaskStart {
                     id: 2,
-                    label: "stencil",
+                    kind: Phase::Stencil,
                 },
             ),
             ev(
@@ -911,7 +928,7 @@ mod tests {
                 1,
                 EventData::TaskEnd {
                     id: 2,
-                    label: "stencil",
+                    kind: Phase::Stencil,
                 },
             ),
             ev(9, 5, 0, EventData::TimestepMark { tstep: 0 }),
@@ -965,7 +982,7 @@ mod tests {
                 0,
                 EventData::TaskStart {
                     id: 5,
-                    label: "send",
+                    kind: Phase::Send,
                 },
             ),
             ev(
@@ -974,7 +991,7 @@ mod tests {
                 0,
                 EventData::TaskEnd {
                     id: 5,
-                    label: "send",
+                    kind: Phase::Send,
                 },
             ),
             ev(3, 10, 0, EventData::TaskBlocked { id: 5, holds: 1 }),
@@ -994,7 +1011,7 @@ mod tests {
                 0,
                 EventData::TaskStart {
                     id: 1,
-                    label: "stencil",
+                    kind: Phase::Stencil,
                 },
             ),
             ev(
@@ -1003,7 +1020,7 @@ mod tests {
                 0,
                 EventData::TaskEnd {
                     id: 1,
-                    label: "stencil",
+                    kind: Phase::Stencil,
                 },
             ),
             ev(
@@ -1012,7 +1029,7 @@ mod tests {
                 0,
                 EventData::TaskStart {
                     id: 2,
-                    label: "pack",
+                    kind: Phase::Pack,
                 },
             ),
             ev(
@@ -1021,7 +1038,7 @@ mod tests {
                 0,
                 EventData::TaskEnd {
                     id: 2,
-                    label: "pack",
+                    kind: Phase::Pack,
                 },
             ),
             ev(
@@ -1044,22 +1061,22 @@ mod tests {
         assert_eq!(r.idle_us, 10);
         assert_eq!(r.tasks, 2);
         assert_eq!((r.waits, r.wait_us), (1, 10));
-        // Serial tasks of different labels: no overlap.
+        // Serial tasks of different kinds: no overlap.
         assert_eq!(r.overlap_fraction, 0.0);
     }
 
     #[test]
-    fn rank_overlap_prefers_coarse_spans() {
+    fn phase_list_merges_task_kinds_and_spans() {
         let events = vec![
-            // Coarse spans say full overlap; tasks would say none.
+            // A stencil task and an unpack span (work outside any task)
+            // over the same interval: one list, full overlap.
             ev(
                 1,
-                100,
                 0,
-                EventData::Span {
-                    kind: "stencil",
-                    start_us: 0,
-                    end_us: 100,
+                0,
+                EventData::TaskStart {
+                    id: 1,
+                    kind: Phase::Stencil,
                 },
             ),
             ev(
@@ -1067,50 +1084,45 @@ mod tests {
                 100,
                 0,
                 EventData::Span {
-                    kind: "unpack",
+                    kind: Phase::Unpack,
                     start_us: 0,
                     end_us: 100,
                 },
             ),
             ev(
                 3,
+                100,
                 0,
-                0,
-                EventData::TaskStart {
+                EventData::TaskEnd {
                     id: 1,
-                    label: "stencil",
+                    kind: Phase::Stencil,
                 },
             ),
+            // A task whose TaskStart was dropped still gets its kind and
+            // rank from TaskEnd, but no interval: its start is unknown.
             ev(
                 4,
-                10,
-                0,
-                EventData::TaskEnd {
-                    id: 1,
-                    label: "stencil",
-                },
-            ),
-            ev(
-                5,
-                10,
-                0,
-                EventData::TaskStart {
-                    id: 2,
-                    label: "unpack",
-                },
-            ),
-            ev(
-                6,
-                20,
-                0,
+                150,
+                1,
                 EventData::TaskEnd {
                     id: 2,
-                    label: "unpack",
+                    kind: Phase::Pack,
                 },
             ),
         ];
         let g = SpanGraph::build(&events);
+        assert_eq!(
+            g.phases[&0],
+            vec![(Phase::Unpack, 0, 100), (Phase::Stencil, 0, 100)]
+        );
         assert!((g.rank_overlap(0) - 1.0).abs() < 1e-9);
+        let t2 = &g.tasks[&2];
+        assert_eq!((t2.kind, t2.rank, t2.end_us), (Some(Phase::Pack), 1, 150));
+        assert!(!g.phases.contains_key(&1));
+        assert_eq!(
+            g.phase_totals(0),
+            vec![(Phase::Stencil, 100), (Phase::Unpack, 100)]
+        );
     }
 
     #[test]
@@ -1147,7 +1159,7 @@ mod tests {
             end_us,
             rank,
             EventData::Span {
-                kind: phase.name(),
+                kind: phase,
                 start_us,
                 end_us,
             },
@@ -1220,7 +1232,7 @@ mod tests {
                 0,
                 EventData::TaskStart {
                     id: 1,
-                    label: "exchange_recv",
+                    kind: Phase::RefineExchange,
                 },
             ),
             ev(
@@ -1240,7 +1252,7 @@ mod tests {
                 0,
                 EventData::TaskEnd {
                     id: 1,
-                    label: "exchange_recv",
+                    kind: Phase::RefineExchange,
                 },
             ),
             ev(4, 10, 0, EventData::TaskBlocked { id: 1, holds: 1 }),
@@ -1250,7 +1262,7 @@ mod tests {
                 1,
                 EventData::TaskStart {
                     id: 2,
-                    label: "exchange_recv",
+                    kind: Phase::RefineExchange,
                 },
             ),
             ev(
@@ -1270,7 +1282,7 @@ mod tests {
                 1,
                 EventData::TaskEnd {
                     id: 2,
-                    label: "exchange_recv",
+                    kind: Phase::RefineExchange,
                 },
             ),
             ev(8, 12, 1, EventData::TaskBlocked { id: 2, holds: 1 }),
@@ -1294,7 +1306,7 @@ mod tests {
                 0,
                 EventData::TaskStart {
                     id: 1,
-                    label: "send",
+                    kind: Phase::Send,
                 },
             ),
             ev(
@@ -1303,7 +1315,7 @@ mod tests {
                 0,
                 EventData::TaskEnd {
                     id: 1,
-                    label: "send",
+                    kind: Phase::Send,
                 },
             ),
             ev(3, 5, 0, EventData::TaskBlocked { id: 1, holds: 1 }),
@@ -1314,7 +1326,7 @@ mod tests {
                 1,
                 EventData::TaskStart {
                     id: 2,
-                    label: "recv",
+                    kind: Phase::Recv,
                 },
             ),
             ev(
@@ -1334,7 +1346,7 @@ mod tests {
                 1,
                 EventData::TaskEnd {
                     id: 2,
-                    label: "recv",
+                    kind: Phase::Recv,
                 },
             ),
             ev(8, 6, 1, EventData::TaskBlocked { id: 2, holds: 1 }),

@@ -20,6 +20,10 @@
 //!   dependencies are released only after the body finished *and* all
 //!   holds were dropped. This is the hook the `tampi` crate uses to bind
 //!   in-flight communication requests to tasks (`TAMPI_Iwait` semantics).
+//! * **Typed task kinds.** Every task carries a [`Phase`]
+//!   ([`TaskBuilder::kind`]; [`Phase::Other`] when unset) from spawn
+//!   through its lifecycle events to the analyzer, the sanitizer and the
+//!   watchdog dumps.
 //! * **Work-stealing scheduling with an immediate-successor policy.**
 //!   Each worker owns a LIFO deque and steals when idle; when a finishing
 //!   task unblocks successors, the worker runs one of them next so data
@@ -69,6 +73,8 @@ mod submit;
 mod task;
 
 pub use events::EventHold;
+/// The task-kind taxonomy, re-exported for task producers.
+pub use obs::span::Phase;
 pub use region::{Access, AccessMode, ObjId, Region};
 pub use runtime::{Runtime, RuntimeConfig, RuntimeStats, TaskBuilder};
 pub use submit::{BarrierKind, CommIntent, CommKind, Submitter, TaskSpec};

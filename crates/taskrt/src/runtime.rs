@@ -4,6 +4,7 @@ use crate::region::{Access, Region};
 use crate::registry::Registry;
 use crate::scheduler::Scheduler;
 use crate::task::{AccessList, SuccessorList, TaskBody, TaskLinks, TaskShared};
+use crate::Phase;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -59,10 +60,10 @@ pub(crate) struct ObsMetrics {
 
 const LIVE_SHARDS: usize = 8;
 
-/// Sharded id → task map of unreleased tasks, kept only for diagnostics
-/// (watchdog dumps, [`Runtime::debug_live_tasks`]). Absent entirely in
-/// release builds without observability, so the spawn/release hot path
-/// pays no lock for it.
+/// Sharded id → task map of unreleased tasks, kept only for the
+/// watchdog's pending-task dump. Absent entirely in release builds
+/// without observability, so the spawn/release hot path pays no lock
+/// for it.
 struct LiveSet {
     shards: Vec<Mutex<HashMap<u64, Weak<TaskShared>>>>,
 }
@@ -154,16 +155,11 @@ impl RtInner {
         for task in live_set.snapshot() {
             let pending = task.pending.load(Ordering::Relaxed);
             let events = task.events.load(Ordering::Relaxed);
-            let label = if task.label.is_empty() {
-                "<unlabeled>"
-            } else {
-                task.label
-            };
             let _ = write!(
                 out,
                 "task {} '{}' pending_preds={} event_holds={} accesses=[",
                 task.id,
-                label,
+                task.kind.name(),
                 pending,
                 events.saturating_sub(1),
             );
@@ -193,8 +189,8 @@ impl RtInner {
         // sender rank.
         fn longest_chain(
             task: &Arc<TaskShared>,
-            memo: &mut HashMap<u64, Vec<(u64, &'static str)>>,
-        ) -> Vec<(u64, &'static str)> {
+            memo: &mut HashMap<u64, Vec<(u64, Phase)>>,
+        ) -> Vec<(u64, Phase)> {
             if let Some(c) = memo.get(&task.id) {
                 return c.clone();
             }
@@ -208,14 +204,14 @@ impl RtInner {
                 }
                 links.successors.clone()
             };
-            let mut best: Vec<(u64, &'static str)> = Vec::new();
+            let mut best: Vec<(u64, Phase)> = Vec::new();
             for s in &succs {
                 let c = longest_chain(s, memo);
                 if c.len() > best.len() {
                     best = c;
                 }
             }
-            let mut chain = vec![(task.id, task.label)];
+            let mut chain = vec![(task.id, task.kind)];
             chain.append(&mut best);
             memo.insert(task.id, chain.clone());
             chain
@@ -225,8 +221,8 @@ impl RtInner {
             .into_iter()
             .filter(|t| t.events.load(Ordering::Relaxed) > 1)
             .collect();
-        let mut memo: HashMap<u64, Vec<(u64, &'static str)>> = HashMap::new();
-        let mut best: Vec<(u64, &'static str)> = Vec::new();
+        let mut memo: HashMap<u64, Vec<(u64, Phase)>> = HashMap::new();
+        let mut best: Vec<(u64, Phase)> = Vec::new();
         let mut best_holds = 0usize;
         for t in &blocked {
             let chain = longest_chain(t, &mut memo);
@@ -237,19 +233,15 @@ impl RtInner {
         }
         if !best.is_empty() {
             out.push_str("longest blocked chain: ");
-            for (i, (id, label)) in best.iter().enumerate() {
-                let label = if label.is_empty() {
-                    "<unlabeled>"
-                } else {
-                    label
-                };
+            for (i, (id, kind)) in best.iter().enumerate() {
+                let name = kind.name();
                 if i == 0 {
                     let _ = write!(
                         out,
-                        "task {id} '{label}' [awaiting {best_holds} event hold(s)]"
+                        "task {id} '{name}' [awaiting {best_holds} event hold(s)]"
                     );
                 } else {
-                    let _ = write!(out, " -> task {id} '{label}'");
+                    let _ = write!(out, " -> task {id} '{name}'");
                 }
             }
             out.push('\n');
@@ -313,13 +305,10 @@ impl Runtime {
     pub fn with_config(config: RuntimeConfig) -> Runtime {
         assert!(config.workers >= 1, "runtime needs at least one worker");
         let (scheduler, locals) = Scheduler::new(config.workers, config.immediate_successor);
-        // The live-task map exists for diagnostics only (watchdog dumps,
-        // `debug_live_tasks`); in release builds without observability or
-        // an explicit debug request it is skipped entirely so spawning
-        // pays no global lock for it.
-        let track_live = cfg!(debug_assertions)
-            || obs::is_enabled()
-            || std::env::var_os("MINIAMR_DEBUG").is_some();
+        // The live-task map exists for the watchdog's dump only; in
+        // release builds without observability it is skipped entirely so
+        // spawning pays no global lock for it.
+        let track_live = cfg!(debug_assertions) || obs::is_enabled();
         let inner = Arc::new(RtInner {
             registry: Registry::new(),
             scheduler,
@@ -384,24 +373,19 @@ impl Runtime {
             rt: self,
             accesses: AccessList::new(),
             priority: 0,
-            label: "",
+            kind: Phase::Other,
             body: None,
         }
     }
 
-    /// Spawns a task with explicit accesses (convenience for the builder).
+    /// Spawns a task of kind [`Phase::Other`] with explicit accesses
+    /// (convenience for the builder).
     pub fn spawn(&self, accesses: Vec<Access>, body: impl FnOnce() + Send + 'static) {
-        self.spawn_boxed(accesses.into(), 0, "", Box::new(body));
+        self.spawn_boxed(accesses.into(), 0, Phase::Other, Box::new(body));
     }
 
     /// Returns the task's depsan id (0 while the sanitizer is disabled).
-    fn spawn_boxed(
-        &self,
-        accesses: AccessList,
-        priority: i32,
-        label: &'static str,
-        body: TaskBody,
-    ) -> u64 {
+    fn spawn_boxed(&self, accesses: AccessList, priority: i32, kind: Phase, body: TaskBody) -> u64 {
         let inner = &self.inner;
         // Register with the sanitizer first: spawn order is a topological
         // order of the declared graph, which is what lets depsan compute
@@ -416,7 +400,7 @@ impl Runtime {
                     write: a.mode.is_write(),
                 })
                 .collect();
-            depsan::task_spawned(inner.san_rt, label, inner.rank(), &decls)
+            depsan::task_spawned(inner.san_rt, kind.name(), inner.rank(), &decls)
         } else {
             0
         };
@@ -424,7 +408,7 @@ impl Runtime {
             id: inner.next_id.fetch_add(1, Ordering::Relaxed),
             san_id,
             priority,
-            label,
+            kind,
             accesses,
             body: Mutex::new(Some(body)),
             // One guard count held through registration so the task cannot
@@ -452,7 +436,7 @@ impl Runtime {
                 inner.rank(),
                 obs::EventData::TaskCreated {
                     id: task.id,
-                    label: task.label,
+                    kind: task.kind,
                     preds: edges as u32,
                 },
             );
@@ -516,7 +500,7 @@ impl Runtime {
             // Jump the queue: the waiter should run as soon as its inputs
             // are quiescent.
             i32::MAX,
-            "taskwait_on",
+            Phase::TaskwaitOn,
             Box::new(move || {
                 let (lock, cond) = &*signal;
                 *lock.lock() = true;
@@ -585,30 +569,6 @@ impl Runtime {
     pub fn live_objects(&self) -> usize {
         self.inner.registry.live_objects()
     }
-
-    /// Diagnostic snapshot of unreleased tasks: `(id, label, pending
-    /// predecessor count, outstanding event count)`. Intended for
-    /// deadlock post-mortems.
-    /// Live-task tracking is skipped in release builds without
-    /// observability (set `MINIAMR_DEBUG=1` to force it on); this returns
-    /// an empty vector then.
-    pub fn debug_live_tasks(&self) -> Vec<(u64, &'static str, usize, usize)> {
-        let Some(live_set) = &self.inner.live_set else {
-            return Vec::new();
-        };
-        live_set
-            .snapshot()
-            .into_iter()
-            .map(|t| {
-                (
-                    t.id,
-                    t.label,
-                    t.pending.load(Ordering::Relaxed),
-                    t.events.load(Ordering::Relaxed),
-                )
-            })
-            .collect()
-    }
 }
 
 impl Drop for Runtime {
@@ -668,12 +628,12 @@ impl Drop for Runtime {
     }
 }
 
-/// Fluent task construction: accesses, priority, label, body.
+/// Fluent task construction: accesses, priority, kind, body.
 pub struct TaskBuilder<'rt> {
     rt: &'rt Runtime,
     accesses: AccessList,
     priority: i32,
-    label: &'static str,
+    kind: Phase,
     body: Option<TaskBody>,
 }
 
@@ -714,9 +674,10 @@ impl<'rt> TaskBuilder<'rt> {
         self
     }
 
-    /// Debug label shown in panics and traces.
-    pub fn label(mut self, label: &'static str) -> Self {
-        self.label = label;
+    /// The task's kind, carried into its lifecycle events, sanitizer
+    /// reports and diagnostics ([`Phase::Other`] if never set).
+    pub fn kind(mut self, kind: Phase) -> Self {
+        self.kind = kind;
         self
     }
 
@@ -734,6 +695,6 @@ impl<'rt> TaskBuilder<'rt> {
     pub fn spawn(self) {
         let body = self.body.expect("task spawned without a body");
         self.rt
-            .spawn_boxed(self.accesses, self.priority, self.label, body);
+            .spawn_boxed(self.accesses, self.priority, self.kind, body);
     }
 }

@@ -1,7 +1,7 @@
 //! The submission seam: one task stream, two consumers.
 //!
 //! The data-flow variant of the application describes each timestep as a
-//! stream of *task specifications* — label, priority, declared
+//! stream of *task specifications* — kind, priority, declared
 //! [`Access`] list, an optional communication endpoint, and a
 //! variant-specific work descriptor — punctuated by barriers. The
 //! [`Submitter`] trait abstracts who consumes that stream:
@@ -18,6 +18,7 @@
 //! both by construction.
 
 use crate::region::{Access, Region};
+use crate::Phase;
 
 /// Direction of a task-bound message endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,8 +72,8 @@ impl CommIntent {
 /// body; the static recorder stores it for diagnostics.
 #[derive(Debug, Clone)]
 pub struct TaskSpec<W> {
-    /// Task label (also the obs/depsan label).
-    pub label: &'static str,
+    /// Task kind (carried into obs events and depsan reports).
+    pub kind: Phase,
     /// Scheduling priority (higher runs earlier when ready).
     pub priority: i32,
     /// Declared data accesses — the dependency contract.

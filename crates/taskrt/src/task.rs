@@ -8,6 +8,7 @@
 
 use crate::region::Access;
 use crate::runtime::RtInner;
+use crate::Phase;
 use parking_lot::Mutex;
 use smallvec::SmallVec;
 use std::cell::RefCell;
@@ -28,7 +29,7 @@ pub(crate) struct TaskShared {
     /// depsan task id (0 while the sanitizer is disabled).
     pub san_id: u64,
     pub priority: i32,
-    pub label: &'static str,
+    pub kind: Phase,
     pub accesses: AccessList,
     pub body: Mutex<Option<TaskBody>>,
     /// Predecessors not yet released, plus one registration guard.
@@ -95,11 +96,13 @@ impl TaskShared {
 
     /// Runs the task body on the current thread.
     pub(crate) fn execute(self: Arc<Self>) {
-        let body = self
-            .body
-            .lock()
-            .take()
-            .unwrap_or_else(|| panic!("task '{}' (id {}) executed twice", self.label, self.id));
+        let body = self.body.lock().take().unwrap_or_else(|| {
+            panic!(
+                "task '{}' (id {}) executed twice",
+                self.kind.name(),
+                self.id
+            )
+        });
         let prev = CURRENT.with(|c| c.replace(Some(Arc::clone(&self))));
         // Publish the task id to the obs thread-task context so layers
         // below taskrt (vmpi message posts) can attribute events to it.
@@ -114,7 +117,7 @@ impl TaskShared {
                 self.rt.rank(),
                 obs::EventData::TaskStart {
                     id: self.id,
-                    label: self.label,
+                    kind: self.kind,
                 },
             );
         }
@@ -137,7 +140,8 @@ impl TaskShared {
                 };
                 self.rt.poison(format!(
                     "task '{}' (id {}) panicked: {msg}",
-                    self.label, self.id
+                    self.kind.name(),
+                    self.id
                 ));
             }
         }
@@ -147,7 +151,7 @@ impl TaskShared {
                 rank,
                 obs::EventData::TaskEnd {
                     id: self.id,
-                    label: self.label,
+                    kind: self.kind,
                 },
             );
             // Holds acquired by the body (tampi-bound requests) outlive it:

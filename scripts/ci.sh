@@ -425,6 +425,21 @@ s, f = trace.count('"ph":"s"'), trace.count('"ph":"f"')
 assert s > 0 and s == f, f"flow arrows unbalanced: {s} starts vs {f} finishes"
 PY
 
+# Fork-join tasks carry their kind, so its critical path sees compute.
+echo "==> causal perf analyzer: 4-rank fork-join compute"
+fj_perf_json="$(mktemp /tmp/miniamr-perf-fj-XXXXXX.json)"
+timeout 120 "$MINIAMR" --variant forkjoin --npx 2 --npy 2 \
+    --nx 8 --ny 8 --nz 8 --num_vars 4 --num_tsteps 4 --input single_sphere \
+    --obs_ring 262144 --perf_report "$fj_perf_json" >/dev/null 2>&1
+python3 - "$fj_perf_json" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+assert doc["dropped"] == 0, f"ring overflow dropped {doc['dropped']} events"
+compute = sum(t["critical_path"]["compute_us"] for t in doc["timesteps"])
+assert compute > 0, "fork-join: no compute on the critical path"
+PY
+rm -f "$fj_perf_json"
+
 # MPI-only is visible to the analyzer through its phase spans alone: a
 # plain --perf_report run (no other obs flag) must attribute every rank,
 # with busy time and a largest-gap figure.
