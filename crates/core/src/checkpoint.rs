@@ -280,19 +280,22 @@ pub fn store() -> Arc<CheckpointStore> {
 }
 
 /// Takes and publishes a checkpoint when the stage counter says one is
-/// due; emits the `checkpoint_taken` obs event and counter. The caller
-/// guarantees quiescence (the data-flow variant taskwaits first).
+/// due (`--ckpt_freq`, 0 = never); emits the `checkpoint_taken` obs
+/// event and counter. `quiesce` runs first, and only when a checkpoint is
+/// due: it must leave the rank's block data quiescent.
 pub(crate) fn maybe_checkpoint(
     state: &RankState,
     stats: &mut crate::stats::RunStats,
     stage_counter: usize,
     tstep: usize,
     mesh_epoch: u64,
+    quiesce: impl FnOnce(),
 ) {
     let freq = state.cfg.ckpt_freq;
     if freq == 0 || !stage_counter.is_multiple_of(freq) {
         return;
     }
+    quiesce();
     let ck = RankCheckpoint::take(state, tstep, stage_counter, mesh_epoch);
     if obs::is_enabled() {
         checkpoints_counter().inc();

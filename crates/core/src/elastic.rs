@@ -39,7 +39,7 @@ use crate::variant::Checkpoint;
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
-use vmpi::{Comm, NetworkModel, PeerLostReport, World};
+use vmpi::{NetworkModel, PeerLostReport, World};
 
 /// How many boundary snapshots per rank the shrink registry retains;
 /// recovery only ever needs the newest snapshot *common to all ranks*,
@@ -115,55 +115,9 @@ pub struct SpanStart {
     pub(crate) stats: RunStats,
     pub(crate) stage_counter: usize,
     pub(crate) mesh_epoch: u64,
-    /// `(means, epoch)` of the last validation baseline (the
-    /// `variant::Checkpoint`, flattened to keep that type crate-private).
-    pub(crate) prev_checksum: Option<(Vec<f64>, u64)>,
+    /// The last validation baseline.
+    pub(crate) prev_checksum: Option<Checkpoint>,
     pub(crate) ts_start: usize,
-}
-
-impl SpanStart {
-    /// Unpacks an optional resume point into the variant loop's working
-    /// set: `(state, stats, stage_counter, mesh_epoch, prev_checksum,
-    /// ts_start, resumed)`. A `None` start means initial conditions.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn unpack(
-        start: Option<SpanStart>,
-        cfg: &Config,
-        comm: &Comm,
-    ) -> (
-        RankState,
-        RunStats,
-        usize,
-        u64,
-        Option<Checkpoint>,
-        usize,
-        bool,
-    ) {
-        match start {
-            Some(s) => {
-                let prev = s
-                    .prev_checksum
-                    .map(|(means, epoch)| Checkpoint { means, epoch });
-                (
-                    s.state,
-                    s.stats,
-                    s.stage_counter,
-                    s.mesh_epoch,
-                    prev,
-                    s.ts_start,
-                    true,
-                )
-            }
-            None => {
-                let state = RankState::init(cfg, comm.rank(), comm.size());
-                let stats = RunStats {
-                    rank: state.rank,
-                    ..Default::default()
-                };
-                (state, stats, 0, 0, None, 0, false)
-            }
-        }
-    }
 }
 
 /// What a span hands back at its end, alongside the stats: everything a
@@ -172,7 +126,7 @@ pub struct SpanCarry {
     pub(crate) state: RankState,
     pub(crate) stage_counter: usize,
     pub(crate) mesh_epoch: u64,
-    pub(crate) prev_checksum: Option<(Vec<f64>, u64)>,
+    pub(crate) prev_checksum: Option<Checkpoint>,
     pub(crate) next_ts: usize,
 }
 
@@ -188,8 +142,8 @@ pub(crate) struct ElasticCtx {
 
 impl ElasticCtx {
     /// Publishes this rank's boundary snapshot for the timestep about to
-    /// run. The caller guarantees quiescence (the data-flow variant
-    /// drains its graph and flushes the delayed checksum first).
+    /// run. The caller checks `publish_boundaries` and guarantees
+    /// quiescence (drained graph, flushed delayed checksum).
     pub(crate) fn boundary(
         &self,
         state: &RankState,
@@ -199,9 +153,6 @@ impl ElasticCtx {
         prev_checksum: &Option<Checkpoint>,
         next_ts: usize,
     ) {
-        if !self.publish_boundaries {
-            return;
-        }
         let ck = Arc::new(RankCheckpoint::take(
             state,
             next_ts,
@@ -212,7 +163,7 @@ impl ElasticCtx {
             ck,
             stats: stats.clone(),
             stage_counter,
-            prev_checksum: prev_checksum.as_ref().map(|c| (c.means.clone(), c.epoch)),
+            prev_checksum: prev_checksum.clone(),
             next_ts,
         };
         let reg = boundaries();
@@ -232,7 +183,7 @@ struct BoundarySnap {
     ck: Arc<RankCheckpoint>,
     stats: RunStats,
     stage_counter: usize,
-    prev_checksum: Option<(Vec<f64>, u64)>,
+    prev_checksum: Option<Checkpoint>,
     next_ts: usize,
 }
 

@@ -12,8 +12,10 @@
 //! redistributes blocks across ranks with an ACK-based exchange protocol
 //! (§IV-B).
 //!
-//! Three variants share the identical numerical kernels and communication
-//! plan, differing only in how work is orchestrated:
+//! Three variants share the identical numerical kernels, communication
+//! plan and timestep schedule — one span driver, [`variant`]'s
+//! `run_span`, owns the stage loop and the checksum, checkpoint and
+//! regrid cadences — differing only in how each phase is orchestrated:
 //!
 //! * [`variant::mpi_only`] — the reference: one rank per core, serial
 //!   execution inside each rank, non-blocking sends/receives with the
@@ -84,7 +86,8 @@ pub fn run_rank(cfg: &Config, comm: Comm) -> RunStats {
 /// Runs one *span* of the configured variant on one rank: from `start`
 /// (or initial conditions) up to — not including — timestep `ts_end`.
 /// The span primitive behind both [`run_rank`] (one span covering the
-/// whole run) and [`elastic::run`] (a span per world segment).
+/// whole run) and [`elastic::run`] (a span per world segment): builds
+/// the variant's executor and hands it to the shared span driver.
 pub(crate) fn run_rank_span(
     cfg: &Config,
     comm: Comm,
@@ -92,11 +95,13 @@ pub(crate) fn run_rank_span(
     ts_end: usize,
     ectx: Option<&elastic::ElasticCtx>,
 ) -> (RunStats, elastic::SpanCarry) {
-    obs::set_thread_rank(cfg.obs_rank(comm.rank()));
+    use variant::{dataflow::DataFlow, fork_join::ForkJoin, mpi_only::MpiOnly, run_span};
+    let rank = comm.rank();
+    obs::set_thread_rank(cfg.obs_rank(rank));
     match cfg.variant {
-        Variant::MpiOnly => variant::mpi_only::run_span(cfg, comm, start, ts_end, ectx),
-        Variant::ForkJoin => variant::fork_join::run_span(cfg, comm, start, ts_end, ectx),
-        Variant::DataFlow => variant::dataflow::run_span(cfg, comm, start, ts_end, ectx),
+        Variant::MpiOnly => run_span(cfg, comm, MpiOnly, start, ts_end, ectx),
+        Variant::ForkJoin => run_span(cfg, comm, ForkJoin::new(cfg, rank), start, ts_end, ectx),
+        Variant::DataFlow => run_span(cfg, comm, DataFlow::new(cfg, rank), start, ts_end, ectx),
     }
 }
 

@@ -13,7 +13,8 @@
 //!
 //! Model bounds (soundness caveats, see `DESIGN.md` §15): the schedule
 //! skeleton (which stages run, where barriers fall) is *mirrored* from
-//! `variant::dataflow::run`, not shared with it; at most
+//! the span driver `variant::run_span` and the data-flow executor's
+//! hooks, not shared with them; at most
 //! [`MAX_EPOCHS`] mesh epochs and a few stages per epoch are modeled
 //! (tags and buffer regions repeat identically every stage, so ordering
 //! proofs extend inductively); the refinement block exchange is modeled
@@ -214,6 +215,7 @@ fn record_epoch(
 ) {
     let nv = cfg.params.num_vars;
     let start_stage = *stage;
+    let first_new = model.nodes.len();
     for (rank, st) in ranks.iter_mut().enumerate() {
         let mut rec: Recorder<Work> = Recorder::new();
         rec.ctx.epoch = epoch;
@@ -278,7 +280,7 @@ fn record_epoch(
             }
         }
         if cfg.variant == Variant::DataFlow {
-            // The pre-refinement (and final) drain: `run` issues a full
+            // The pre-refinement (and final) drain: `run_span` issues a full
             // taskwait before every regrid and before exiting. The block
             // exchange itself is modeled as this barrier, not as
             // endpoints (soundness caveat).
@@ -290,8 +292,9 @@ fn record_epoch(
     // Derive comm-path footprints exactly as the live submitter derives
     // its buffer slices from the declared regions: recv/pack/unpack use
     // a declared section verbatim; send reads the span of its sections.
-    // Coverage then proves the sections tile the span.
-    for node in &mut model.nodes {
+    // Coverage then proves the sections tile the span. Earlier epochs'
+    // nodes already have theirs.
+    for node in &mut model.nodes[first_new..] {
         let NodeKind::Task(kind) = node.kind else {
             continue;
         };

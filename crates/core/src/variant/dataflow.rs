@@ -29,252 +29,148 @@
 use crate::comm_plan::CommPlan;
 use crate::config::Config;
 use crate::elaborate::{ElabCtx, Work};
-use crate::elastic::{ElasticCtx, SpanCarry, SpanStart};
-use crate::exchange::{run_refinement, BlockMover, RefineJob};
+use crate::exchange::{BlockMover, RefineJob};
 use crate::rank::{
     apply_boundary, apply_local_transfer, pack_transfer_into, unpack_transfer, RankState,
 };
-use crate::stats::{RunStats, Stopwatch};
-use crate::variant::{checksum_remote_blocks, record_validation, Buffers, Checkpoint};
+use crate::stats::RunStats;
+use crate::variant::{Buffers, Exec, LocalSums};
 use amr_mesh::data::{BlockData, BlockLayout};
 use amr_mesh::BlockId;
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use taskrt::{Access, BarrierKind, ObjId, Phase, Region, Runtime, Submitter, TaskSpec};
 use vmpi::Comm;
 
-/// Runs the data-flow variant on one rank, start to finish.
-pub fn run(cfg: &Config, comm: Comm) -> RunStats {
-    run_span(cfg, comm, None, cfg.num_tsteps, None).0
+/// The data-flow executor: every phase is spawned as dependent tasks and
+/// the graph drains only where the schedule needs quiescent blocks.
+pub(crate) struct DataFlow {
+    rt: Arc<Runtime>,
+    /// Stencil flops, counted inside the task bodies.
+    flops: Arc<AtomicU64>,
+    /// One persistent dependency object for every checkpoint's checksum
+    /// slots. Because it is shared, a delayed validation waits before
+    /// the next checkpoint's local sums are spawned.
+    checksum_obj: ObjId,
+    /// The delayed-validation pipeline: local sums of the previous
+    /// checkpoint, still possibly being produced by in-flight tasks.
+    pending: Option<PendingChecksum>,
 }
 
-/// Runs one *span* of the data-flow variant: from `start` (or initial
-/// conditions) up to — not including — timestep `ts_end`, returning the
-/// stats so far and the carry an elastic resume continues from. The span
-/// ends fully drained (taskwait + delayed-checksum flush), so its carry
-/// is a quiescent resize point.
-pub(crate) fn run_span(
-    cfg: &Config,
-    comm: Comm,
-    start: Option<SpanStart>,
-    ts_end: usize,
-    elastic: Option<&ElasticCtx>,
-) -> (RunStats, SpanCarry) {
-    let rt = Arc::new(Runtime::with_config(taskrt::RuntimeConfig {
-        workers: cfg.workers.max(1),
-        immediate_successor: cfg.immediate_successor,
-    }));
-    let comm = Arc::new(comm);
-    rt.set_obs_rank(cfg.obs_rank(comm.rank()));
-    let (
-        mut state,
-        mut stats,
-        mut stage_counter,
-        mut mesh_epoch,
-        mut prev_checksum,
-        ts_start,
-        resumed,
-    ) = SpanStart::unpack(start, cfg, &comm);
-    let gmax = cfg.var_group(0).len();
-    let spawned_before = stats.tasks_spawned;
-    let flops_before = stats.flops;
+impl DataFlow {
+    /// A data-flow executor for `rank`.
+    pub(crate) fn new(cfg: &Config, rank: usize) -> DataFlow {
+        DataFlow {
+            rt: Arc::new(super::runtime(cfg, rank)),
+            flops: Arc::new(AtomicU64::new(0)),
+            checksum_obj: ObjId::fresh(),
+            pending: None,
+        }
+    }
 
-    let total_sw = Stopwatch::start();
-    // Initial refinement phase with load balancing, taskified like every
-    // other refinement (the colorful region at the left of Fig. 1's lower
-    // trace). A resumed span restores an already-balanced mesh.
-    if !resumed {
-        let sw = Stopwatch::start();
-        let mut mover = TaskMover {
-            rt: Arc::clone(&rt),
+    /// Spawns the per-block local reduction tasks of one checkpoint.
+    fn spawn_local_checksum(&self, state: &RankState, epoch: u64) -> PendingChecksum {
+        let slots = Arc::new(Mutex::new(vec![Vec::new(); state.blocks.len()]));
+        let mut sub = LiveSub {
+            slots: Some(&slots),
+            ..LiveSub::new(&self.rt, state, 0..state.cfg.params.num_vars)
         };
-        let rt2 = Arc::clone(&rt);
-        stats.blocks_moved += run_refinement(&mut state, &comm, &mut mover, &mut |state, jobs| {
-            run_jobs_tasked(&rt2, state, jobs)
-        });
-        sw.stop(&mut stats.times.refine);
-    }
-    let mut plan = Arc::new(CommPlan::build(cfg, &state.dir, state.n_ranks));
-    let mut bufs = Buffers::alloc(&plan, state.rank, gmax, cfg.separate_buffers);
-    // The delayed-validation pipeline: local sums of the previous
-    // checkpoint, still possibly being produced by in-flight tasks.
-    let mut pending: Option<PendingChecksum> = None;
-    // One persistent dependency object for every checkpoint's checksum
-    // slots. Because it is shared, the delayed validation below waits
-    // before the next checkpoint's local sums are spawned.
-    let checksum_obj = ObjId::fresh();
-    let flops = Arc::new(AtomicU64::new(0));
-
-    for ts in ts_start..ts_end {
-        // Boundary snapshots need quiescent blocks and a flushed delayed
-        // checksum: drain the graph first. Only taken when a shrink
-        // recovery may need to rewind (the flush merely records the
-        // delayed validation a little earlier — same values, same order —
-        // so the digest is unaffected).
-        if let Some(e) = elastic {
-            if e.publish_boundaries {
-                rt.taskwait();
-                if let Some(prev) = pending.take() {
-                    validate_pending(
-                        prev,
-                        &comm,
-                        &mut stats,
-                        &mut prev_checksum,
-                        cfg.validate_tol,
-                    );
-                }
-                e.boundary(
-                    &state,
-                    &stats,
-                    stage_counter,
-                    mesh_epoch,
-                    &prev_checksum,
-                    ts,
-                );
-            }
-        }
-        // Rank-0 marks delimit the perf analyzer's per-timestep windows.
-        if let Some(bus) = obs::bus() {
-            bus.emit_for_rank(
-                state.rank as u32,
-                obs::EventData::TimestepMark { tstep: ts as u32 },
-            );
-        }
-        for _stage in 0..cfg.stages_per_ts {
-            stage_counter += 1;
-            for g in 0..cfg.num_groups() {
-                let vars = cfg.var_group(g);
-                let sw = Stopwatch::start();
-                spawn_communicate(&rt, &state, &comm, &plan, &bufs, vars.clone(), &mut stats);
-                sw.stop(&mut stats.times.communicate);
-
-                // Stencil tasks chain behind the unpackers via block
-                // dependencies; no barrier.
-                let sw = Stopwatch::start();
-                spawn_stencils(&rt, &state, vars.clone(), &flops);
-                sw.stop(&mut stats.times.stencil);
-            }
-            if stage_counter.is_multiple_of(cfg.checksum_freq) {
-                let sw = Stopwatch::start();
-                if cfg.delayed_checksum {
-                    // Validate the *previous* checkpoint; only its slots
-                    // must be quiescent (taskwait with dependencies).
-                    // This runs before the new checkpoint's local sums
-                    // are spawned: the slots object is shared, so the
-                    // waiter must only see the previous writers.
-                    if let Some(prev) = pending.take() {
-                        rt.taskwait_on(&[Region::whole(prev.obj)]);
-                        validate_pending(
-                            prev,
-                            &comm,
-                            &mut stats,
-                            &mut prev_checksum,
-                            cfg.validate_tol,
-                        );
-                    }
-                    pending = Some(spawn_local_checksum(
-                        &rt,
-                        &state,
-                        cfg,
-                        mesh_epoch,
-                        checksum_obj,
-                    ));
-                } else {
-                    let fresh = spawn_local_checksum(&rt, &state, cfg, mesh_epoch, checksum_obj);
-                    rt.taskwait();
-                    validate_pending(
-                        fresh,
-                        &comm,
-                        &mut stats,
-                        &mut prev_checksum,
-                        cfg.validate_tol,
-                    );
-                }
-                sw.stop(&mut stats.times.checksum);
-            }
-            // Checkpoints need quiescent block data; only drain the task
-            // graph when one is actually due (off by default, so the
-            // no-barrier property of the variant is otherwise untouched).
-            if cfg.ckpt_freq != 0 && stage_counter.is_multiple_of(cfg.ckpt_freq) {
-                rt.taskwait();
-                crate::checkpoint::maybe_checkpoint(
-                    &state,
-                    &mut stats,
-                    stage_counter,
-                    ts,
-                    mesh_epoch,
-                );
-            }
-        }
-        if (ts + 1) % cfg.refine_freq == 0 {
-            let sw = Stopwatch::start();
-            // Explicit barrier before refinement (Algorithm 4).
-            rt.taskwait();
-            state.move_objects();
-            let mut mover = TaskMover {
-                rt: Arc::clone(&rt),
-            };
-            let rt2 = Arc::clone(&rt);
-            let moved = run_refinement(&mut state, &comm, &mut mover, &mut |state, jobs| {
-                run_jobs_tasked(&rt2, state, jobs)
-            });
-            stats.blocks_moved += moved;
-            mesh_epoch += 1;
-            plan = Arc::new(CommPlan::build(cfg, &state.dir, state.n_ranks));
-            bufs = Buffers::alloc(&plan, state.rank, gmax, cfg.separate_buffers);
-            sw.stop(&mut stats.times.refine);
+        elab_ctx(state).checksum_locals(self.checksum_obj, &mut live_obj_of(state), &mut sub);
+        let ids = state.blocks.keys().copied().collect();
+        PendingChecksum {
+            slots,
+            sums: LocalSums::new(state, epoch, (ids, Vec::new())),
         }
     }
-    // Drain the graph and the delayed checksum pipeline.
-    rt.taskwait();
+}
 
-    if let Some(prev) = pending.take() {
-        validate_pending(
-            prev,
-            &comm,
-            &mut stats,
-            &mut prev_checksum,
-            cfg.validate_tol,
+impl Exec for DataFlow {
+    type Mover = TaskMover;
+
+    /// Algorithm 3: the fully taskified communicate, driven through the
+    /// shared elaboration (see [`crate::elaborate::ElabCtx::communicate`]
+    /// for the spawn-order and offset-stride invariants).
+    fn communicate(
+        &mut self,
+        state: &RankState,
+        comm: &Arc<Comm>,
+        plan: &CommPlan,
+        bufs: &Buffers,
+        vars: Range<usize>,
+        stats: &mut RunStats,
+    ) {
+        let mut sub = LiveSub {
+            comm: Some(comm),
+            plan: Some(plan),
+            bufs: Some(bufs),
+            stats: Some(stats),
+            ..LiveSub::new(&self.rt, state, vars.clone())
+        };
+        elab_ctx(state).communicate(
+            plan,
+            bufs.send_obj,
+            bufs.recv_obj,
+            vars,
+            &mut live_obj_of(state),
+            &mut sub,
         );
     }
-    total_sw.stop(&mut stats.times.total);
-    stats.flops = flops_before + flops.load(Ordering::Relaxed);
-    stats.tasks_spawned = spawned_before + rt.stats().spawned;
-    stats.final_blocks = state.blocks.len();
-    stats.pool = state.pool.stats();
-    let carry = SpanCarry {
-        stage_counter,
-        mesh_epoch,
-        prev_checksum: prev_checksum.as_ref().map(|c| (c.means.clone(), c.epoch)),
-        next_ts: ts_end,
-        state,
-    };
-    (stats, carry)
+
+    /// Stencil tasks chain behind the unpackers via block dependencies;
+    /// no barrier.
+    fn stencil(&mut self, state: &RankState, vars: Range<usize>, _stats: &mut RunStats) {
+        let mut sub = LiveSub {
+            flops: Some(&self.flops),
+            ..LiveSub::new(&self.rt, state, vars.clone())
+        };
+        elab_ctx(state).stencils(vars, &mut live_obj_of(state), &mut sub);
+    }
+
+    fn checksum(&mut self, state: &RankState, epoch: u64) -> Option<LocalSums> {
+        if !state.cfg.delayed_checksum {
+            let fresh = self.spawn_local_checksum(state, epoch);
+            self.rt.taskwait();
+            return Some(fresh.into_sums());
+        }
+        // Hand back the *previous* checkpoint's sums; only its slots must
+        // be quiescent (taskwait with dependencies). This waits before
+        // the new checkpoint's local sums are spawned: the slots object
+        // is shared, so the waiter must only see the previous writers.
+        let prev = self.pending.take().map(|prev| {
+            self.rt.taskwait_on(&[Region::whole(self.checksum_obj)]);
+            prev.into_sums()
+        });
+        self.pending = Some(self.spawn_local_checksum(state, epoch));
+        prev
+    }
+
+    fn drain(&mut self) {
+        self.rt.taskwait();
+    }
+
+    fn take_pending(&mut self) -> Option<LocalSums> {
+        self.pending.take().map(PendingChecksum::into_sums)
+    }
+
+    fn mover(&self) -> TaskMover {
+        TaskMover {
+            rt: Arc::clone(&self.rt),
+        }
+    }
+
+    fn run_jobs(&self, state: &RankState, jobs: Vec<RefineJob>) -> Vec<BlockData> {
+        run_jobs_tasked(&self.rt, state, jobs)
+    }
+
+    fn finish(self, stats: &mut RunStats) {
+        stats.flops += self.flops.load(Ordering::Relaxed);
+        stats.tasks_spawned += self.rt.stats().spawned;
+    }
 }
 
-/// Combines a checkpoint's (now quiescent) per-block slots through the
-/// ownership-independent global combination and records the validation.
-fn validate_pending(
-    prev: PendingChecksum,
-    comm: &Arc<Comm>,
-    stats: &mut RunStats,
-    prev_checksum: &mut Option<Checkpoint>,
-    tol: f64,
-) {
-    let per_block = prev.per_block();
-    let total = checksum_remote_blocks(comm, &prev.ids, &per_block, prev.num_vars);
-    record_validation(
-        stats,
-        prev_checksum,
-        total,
-        prev.total_cells,
-        prev.epoch,
-        tol,
-    );
-}
-
-fn block_region(layout: &BlockLayout, block: &BlockData, vars: std::ops::Range<usize>) -> Region {
+fn block_region(layout: &BlockLayout, block: &BlockData, vars: Range<usize>) -> Region {
     Region::new(crate::block_obj(block.uid), layout.var_elem_range(vars))
 }
 
@@ -293,7 +189,7 @@ struct LiveSub<'a> {
     comm: Option<&'a Arc<Comm>>,
     plan: Option<&'a CommPlan>,
     bufs: Option<&'a Buffers>,
-    vars: std::ops::Range<usize>,
+    vars: Range<usize>,
     stats: Option<&'a mut RunStats>,
     /// Stencil phase only.
     flops: Option<&'a Arc<AtomicU64>>,
@@ -302,6 +198,21 @@ struct LiveSub<'a> {
 }
 
 impl<'a> LiveSub<'a> {
+    /// A submitter for `vars` with no phase-specific fields set.
+    fn new(rt: &'a Runtime, state: &'a RankState, vars: Range<usize>) -> LiveSub<'a> {
+        LiveSub {
+            rt,
+            state,
+            comm: None,
+            plan: None,
+            bufs: None,
+            vars,
+            stats: None,
+            flops: None,
+            slots: None,
+        }
+    }
+
     fn plan(&self) -> &'a CommPlan {
         self.plan.expect("communicate phase has a plan")
     }
@@ -450,133 +361,34 @@ fn live_obj_of<'a>(state: &'a RankState) -> impl FnMut(&BlockId) -> ObjId + 'a {
     |id| crate::block_obj(state.block(id).uid)
 }
 
-fn spawn_stencils(
-    rt: &Runtime,
-    state: &RankState,
-    vars: std::ops::Range<usize>,
-    flops: &Arc<AtomicU64>,
-) {
-    let ctx = ElabCtx {
+/// The elaboration context of a live rank.
+fn elab_ctx(state: &RankState) -> ElabCtx<'_> {
+    ElabCtx {
         cfg: &state.cfg,
         layout: state.layout,
         dir: &state.dir,
         rank: state.rank,
-    };
-    let mut sub = LiveSub {
-        rt,
-        state,
-        comm: None,
-        plan: None,
-        bufs: None,
-        vars: vars.clone(),
-        stats: None,
-        flops: Some(flops),
-        slots: None,
-    };
-    ctx.stencils(vars, &mut live_obj_of(state), &mut sub);
-}
-
-/// Algorithm 3: the fully taskified communicate, driven through the
-/// shared elaboration (see [`crate::elaborate::ElabCtx::communicate`]
-/// for the spawn-order and offset-stride invariants).
-#[allow(clippy::too_many_arguments)]
-fn spawn_communicate(
-    rt: &Runtime,
-    state: &RankState,
-    comm: &Arc<Comm>,
-    plan: &Arc<CommPlan>,
-    bufs: &Buffers,
-    vars: std::ops::Range<usize>,
-    stats: &mut RunStats,
-) {
-    let ctx = ElabCtx {
-        cfg: &state.cfg,
-        layout: state.layout,
-        dir: &state.dir,
-        rank: state.rank,
-    };
-    let mut sub = LiveSub {
-        rt,
-        state,
-        comm: Some(comm),
-        plan: Some(plan),
-        bufs: Some(bufs),
-        vars: vars.clone(),
-        stats: Some(stats),
-        flops: None,
-        slots: None,
-    };
-    ctx.communicate(
-        plan,
-        bufs.send_obj,
-        bufs.recv_obj,
-        vars,
-        &mut live_obj_of(state),
-        &mut sub,
-    );
-}
-
-/// In-flight local checksum: per-block slots plus the structure's
-/// dependency object.
-struct PendingChecksum {
-    obj: ObjId,
-    /// Owning block ids, in the same order as the slots (the i-th slot is
-    /// the i-th local block in id order — see
-    /// [`crate::elaborate::ElabCtx::checksum_locals`]).
-    ids: Vec<BlockId>,
-    slots: Arc<Mutex<Vec<Vec<f64>>>>,
-    num_vars: usize,
-    /// Global cell count at the time the checkpoint was taken (the
-    /// normalization denominator; refinement may change it before the
-    /// delayed validation runs).
-    total_cells: f64,
-    /// Mesh epoch at checkpoint time.
-    epoch: u64,
-}
-
-impl PendingChecksum {
-    /// The (quiescent) per-block sums, slot order == id order.
-    fn per_block(&self) -> Vec<Vec<f64>> {
-        self.slots.lock().clone()
     }
 }
 
-/// Spawns the per-block local reduction tasks of one checkpoint.
-fn spawn_local_checksum(
-    rt: &Runtime,
-    state: &RankState,
-    cfg: &Config,
-    epoch: u64,
-    obj: ObjId,
-) -> PendingChecksum {
-    let nv = cfg.params.num_vars;
-    let slots = Arc::new(Mutex::new(vec![Vec::new(); state.blocks.len()]));
-    let ctx = ElabCtx {
-        cfg: &state.cfg,
-        layout: state.layout,
-        dir: &state.dir,
-        rank: state.rank,
-    };
-    let mut sub = LiveSub {
-        rt,
-        state,
-        comm: None,
-        plan: None,
-        bufs: None,
-        vars: 0..nv,
-        stats: None,
-        flops: None,
-        slots: Some(&slots),
-    };
-    ctx.checksum_locals(obj, &mut live_obj_of(state), &mut sub);
-    let total_cells = (state.dir.len() * cfg.params.cells_per_block()) as f64;
-    PendingChecksum {
-        obj,
-        ids: state.blocks.keys().copied().collect(),
-        slots,
-        num_vars: nv,
-        total_cells,
-        epoch,
+/// In-flight local checksum: per-block slots written by tasks that
+/// depend on the executor's `checksum_obj`.
+struct PendingChecksum {
+    /// The i-th slot is the i-th local block in id order (see
+    /// [`crate::elaborate::ElabCtx::checksum_locals`]).
+    slots: Arc<Mutex<Vec<Vec<f64>>>>,
+    /// Ids, cell count and epoch at checkpoint time; the per-block sums
+    /// come from the slots once they are quiescent.
+    sums: LocalSums,
+}
+
+impl PendingChecksum {
+    /// The sums, once the slots' writers are done.
+    fn into_sums(self) -> LocalSums {
+        LocalSums {
+            per_block: std::mem::take(&mut *self.slots.lock()),
+            ..self.sums
+        }
     }
 }
 
@@ -614,7 +426,7 @@ fn run_jobs_tasked(rt: &Runtime, state: &RankState, jobs: Vec<RefineJob>) -> Vec
 /// The taskified block mover of §IV-B: pack/send and receive/unpack are
 /// tasks bound through the task-aware layer; `finish` closes the
 /// parallelism before the exchange function returns.
-struct TaskMover {
+pub(crate) struct TaskMover {
     rt: Arc<Runtime>,
 }
 

@@ -1,15 +1,249 @@
-//! The three parallelization variants and their shared helpers.
+//! The three parallelization variants and the one span driver they
+//! share.
+//!
+//! [`run_span`] owns Algorithm 1's timestep schedule: resume or initial
+//! refinement, the stage/group loop, the checksum, checkpoint and regrid
+//! cadences, elastic boundary snapshots, timestep marks and the phase
+//! stopwatches. A variant only says how each phase runs, through the
+//! [`Exec`] hooks: [`mpi_only`] serially (Algorithm 2), [`fork_join`] as
+//! barriered parallel loops, [`dataflow`] as dependent tasks
+//! (Algorithms 3 and 4).
 
 pub mod dataflow;
 pub mod fork_join;
 pub mod mpi_only;
 
+use crate::checkpoint::maybe_checkpoint;
 use crate::comm_plan::CommPlan;
+use crate::config::Config;
+use crate::elastic::{ElasticCtx, SpanCarry, SpanStart};
+use crate::exchange::{run_refinement, BlockMover, RefineJob};
+use crate::rank::RankState;
+use crate::stats::{RunStats, Stopwatch};
+use amr_mesh::data::BlockData;
 use amr_mesh::BlockId;
+use obs::span::{timed, Phase};
 use shmem::SharedBuffer;
+use std::ops::Range;
 use std::sync::Arc;
-use taskrt::ObjId;
+use taskrt::{ObjId, Runtime};
 use vmpi::Comm;
+
+/// How one variant runs the phases of a span. The work of each hook is
+/// the variant's own; when it runs is [`run_span`]'s.
+pub(crate) trait Exec: Sized {
+    /// The refinement block exchange's mover.
+    type Mover: BlockMover;
+
+    /// Ghost-face exchange of one variable group.
+    fn communicate(
+        &mut self,
+        state: &RankState,
+        comm: &Arc<Comm>,
+        plan: &CommPlan,
+        bufs: &Buffers,
+        vars: Range<usize>,
+        stats: &mut RunStats,
+    );
+
+    /// Stencil sweep of one variable group.
+    fn stencil(&mut self, state: &RankState, vars: Range<usize>, stats: &mut RunStats);
+
+    /// Local per-block sums for a checksum taken now under `epoch`, ready
+    /// for the global combination. A variant that delays validation keeps
+    /// the fresh sums pending and hands back the previous checksum's.
+    fn checksum(&mut self, state: &RankState, epoch: u64) -> Option<LocalSums>;
+
+    /// Waits until block data is quiescent. Variants that end every phase
+    /// in a barrier are always quiescent.
+    fn drain(&mut self) {}
+
+    /// Sums still pending from a delayed checksum (called drained).
+    fn take_pending(&mut self) -> Option<LocalSums> {
+        None
+    }
+
+    /// A mover for one refinement.
+    fn mover(&self) -> Self::Mover;
+
+    /// Runs split/merge data jobs, returning the new blocks in id order.
+    fn run_jobs(&self, state: &RankState, jobs: Vec<RefineJob>) -> Vec<BlockData>;
+
+    /// Adds the executor's own counters (tasks spawned, flops counted off
+    /// the main thread) to the span's stats.
+    fn finish(self, _stats: &mut RunStats) {}
+}
+
+/// One rank's local checksum contribution: per-block sums in block-id
+/// order, plus the global cell count and mesh epoch at the time they
+/// were taken (a delayed validation runs after both may have changed).
+pub(crate) struct LocalSums {
+    pub ids: Vec<BlockId>,
+    pub per_block: Vec<Vec<f64>>,
+    pub total_cells: f64,
+    pub epoch: u64,
+}
+
+impl LocalSums {
+    /// Sums taken now from `state` under `epoch`.
+    pub fn new(
+        state: &RankState,
+        epoch: u64,
+        (ids, per_block): (Vec<BlockId>, Vec<Vec<f64>>),
+    ) -> LocalSums {
+        LocalSums {
+            ids,
+            per_block,
+            total_cells: (state.dir.len() * state.cfg.params.cells_per_block()) as f64,
+            epoch,
+        }
+    }
+}
+
+/// The task runtime a tasked variant runs a rank on.
+fn runtime(cfg: &Config, rank: usize) -> Runtime {
+    let rt = Runtime::with_config(taskrt::RuntimeConfig {
+        workers: cfg.workers.max(1),
+        immediate_successor: cfg.immediate_successor,
+    });
+    rt.set_obs_rank(cfg.obs_rank(rank));
+    rt
+}
+
+/// Runs one *span* of Algorithm 1 on one rank, with `exec` running each
+/// phase: from `start` (or initial conditions) up to — not including —
+/// timestep `ts_end`. Returns the stats so far and the carry an elastic
+/// resume continues from. The span ends drained (including the delayed
+/// checksum), so its carry is a quiescent resize point.
+pub(crate) fn run_span<E: Exec>(
+    cfg: &Config,
+    comm: Comm,
+    mut exec: E,
+    start: Option<SpanStart>,
+    ts_end: usize,
+    elastic: Option<&ElasticCtx>,
+) -> (RunStats, SpanCarry) {
+    let comm = Arc::new(comm);
+    let resumed = start.is_some();
+    let SpanStart {
+        mut state,
+        mut stats,
+        mut stage_counter,
+        mut mesh_epoch,
+        mut prev_checksum,
+        ts_start,
+    } = start.unwrap_or_else(|| {
+        let state = RankState::init(cfg, comm.rank(), comm.size());
+        let stats = RunStats {
+            rank: state.rank,
+            ..Default::default()
+        };
+        SpanStart {
+            state,
+            stats,
+            stage_counter: 0,
+            mesh_epoch: 0,
+            prev_checksum: None,
+            ts_start: 0,
+        }
+    });
+    let gmax = cfg.var_group(0).len();
+
+    let total_sw = Stopwatch::start();
+    // Initial refinement phase: the mesh was refined locally during init;
+    // load-balance it before the main loop starts (the block exchanges at
+    // the left of the paper's Fig. 1). A resumed span restores an
+    // already-balanced mesh.
+    if !resumed {
+        let sw = Stopwatch::start();
+        stats.blocks_moved += refine(&exec, &mut state, &comm);
+        sw.stop(&mut stats.times.refine);
+    }
+    let mut plan = CommPlan::build(cfg, &state.dir, state.n_ranks);
+    let mut bufs = Buffers::alloc(&plan, state.rank, gmax, cfg.separate_buffers);
+    for ts in ts_start..ts_end {
+        // Boundary snapshots need quiescent blocks and a flushed delayed
+        // checksum. Only taken when a shrink recovery may need to rewind
+        // (the flush merely records the delayed validation a little
+        // earlier — same values, same order — so the digest is
+        // unaffected).
+        if let Some(e) = elastic.filter(|e| e.publish_boundaries) {
+            exec.drain();
+            if let Some(sums) = exec.take_pending() {
+                record_validation(&comm, cfg, sums, &mut stats, &mut prev_checksum);
+            }
+            e.boundary(
+                &state,
+                &stats,
+                stage_counter,
+                mesh_epoch,
+                &prev_checksum,
+                ts,
+            );
+        }
+        // Rank-0 marks delimit the perf analyzer's per-timestep windows.
+        if let Some(bus) = obs::bus() {
+            bus.emit_for_rank(
+                state.rank as u32,
+                obs::EventData::TimestepMark { tstep: ts as u32 },
+            );
+        }
+        for _stage in 0..cfg.stages_per_ts {
+            stage_counter += 1;
+            for g in 0..cfg.num_groups() {
+                let vars = cfg.var_group(g);
+                let sw = Stopwatch::start();
+                exec.communicate(&state, &comm, &plan, &bufs, vars.clone(), &mut stats);
+                sw.stop(&mut stats.times.communicate);
+
+                let sw = Stopwatch::start();
+                exec.stencil(&state, vars, &mut stats);
+                sw.stop(&mut stats.times.stencil);
+            }
+            if stage_counter.is_multiple_of(cfg.checksum_freq) {
+                let sw = Stopwatch::start();
+                if let Some(sums) = exec.checksum(&state, mesh_epoch) {
+                    record_validation(&comm, cfg, sums, &mut stats, &mut prev_checksum);
+                }
+                sw.stop(&mut stats.times.checksum);
+            }
+            // Checkpoints need quiescent block data; drain only when one
+            // is due, so data-flow's no-barrier property is otherwise
+            // untouched.
+            maybe_checkpoint(&state, &mut stats, stage_counter, ts, mesh_epoch, || {
+                exec.drain()
+            });
+        }
+        if (ts + 1) % cfg.refine_freq == 0 {
+            let sw = Stopwatch::start();
+            // Explicit barrier before refinement (Algorithm 4). A delayed
+            // checksum stays pending across the regrid.
+            exec.drain();
+            state.move_objects();
+            stats.blocks_moved += refine(&exec, &mut state, &comm);
+            mesh_epoch += 1;
+            plan = CommPlan::build(cfg, &state.dir, state.n_ranks);
+            bufs = Buffers::alloc(&plan, state.rank, gmax, cfg.separate_buffers);
+            sw.stop(&mut stats.times.refine);
+        }
+    }
+    exec.drain();
+    if let Some(sums) = exec.take_pending() {
+        record_validation(&comm, cfg, sums, &mut stats, &mut prev_checksum);
+    }
+    total_sw.stop(&mut stats.times.total);
+    exec.finish(&mut stats);
+    stats.final_blocks = state.blocks.len();
+    stats.pool = state.pool.stats();
+    let carry = SpanCarry {
+        state,
+        stage_counter,
+        mesh_epoch,
+        prev_checksum,
+        next_ts: ts_end,
+    };
+    (stats, carry)
+}
 
 /// Per-direction send/receive communication buffers plus their dependency
 /// object ids.
@@ -62,6 +296,14 @@ impl Buffers {
     }
 }
 
+/// One refinement (split/merge, then load balance) with the variant's
+/// mover and job runner. Returns the number of blocks moved.
+fn refine<E: Exec>(exec: &E, state: &mut RankState, comm: &Arc<Comm>) -> u64 {
+    run_refinement(state, comm, &mut exec.mover(), &mut |state, jobs| {
+        exec.run_jobs(state, jobs)
+    })
+}
+
 /// Packs a block id into one sortable word (the same packing the
 /// checkpoint digest uses): the global combination order below.
 fn packed_id(id: &BlockId) -> u64 {
@@ -78,17 +320,12 @@ fn packed_id(id: &BlockId) -> u64 {
 /// therefore [`crate::stats::RunStats::checksum_digest`]) are bitwise
 /// identical across rank counts, load balancers, and elastic resizes.
 /// That invariance is the backbone of the elastic-mode digest guarantee.
-pub(crate) fn checksum_remote_blocks(
-    comm: &Comm,
-    ids: &[BlockId],
-    per_block: &[Vec<f64>],
-    nv: usize,
-) -> Vec<f64> {
-    debug_assert_eq!(ids.len(), per_block.len());
+fn checksum_remote_blocks(comm: &Comm, local: &LocalSums, nv: usize) -> Vec<f64> {
+    debug_assert_eq!(local.ids.len(), local.per_block.len());
     // Wire format: per block, one id word (as raw f64 bits) followed by
     // the `nv` per-variable sums.
-    let mut flat = Vec::with_capacity(ids.len() * (nv + 1));
-    for (id, sums) in ids.iter().zip(per_block) {
+    let mut flat = Vec::with_capacity(local.ids.len() * (nv + 1));
+    for (id, sums) in local.ids.iter().zip(&local.per_block) {
         debug_assert_eq!(sums.len(), nv);
         flat.push(f64::from_bits(packed_id(id)));
         flat.extend_from_slice(sums);
@@ -115,6 +352,7 @@ pub(crate) fn checksum_remote_blocks(
 }
 
 /// The previous checkpoint a fresh checksum is validated against.
+#[derive(Clone)]
 pub(crate) struct Checkpoint {
     /// Per-cell means at the previous checkpoint.
     pub means: Vec<f64>,
@@ -122,8 +360,8 @@ pub(crate) struct Checkpoint {
     pub epoch: u64,
 }
 
-/// Validates a fresh checksum against the previous checkpoint, updating
-/// counters.
+/// Combines local sums through the global reduction and validates the
+/// total against the previous checkpoint, updating counters.
 ///
 /// Refinement changes the cell population (splitting a block multiplies
 /// its cells by eight) and re-weights the per-cell mean, so checksums are
@@ -134,15 +372,18 @@ pub(crate) struct Checkpoint {
 /// exactly the role of miniAMR's periodic validation. The raw sums are
 /// recorded unconditionally (they are the cross-variant bitwise
 /// fingerprint).
-pub(crate) fn record_validation(
-    stats: &mut crate::stats::RunStats,
+fn record_validation(
+    comm: &Comm,
+    cfg: &Config,
+    local: LocalSums,
+    stats: &mut RunStats,
     prev: &mut Option<Checkpoint>,
-    current: Vec<f64>,
-    total_cells: f64,
-    epoch: u64,
-    tol: f64,
 ) {
-    let means: Vec<f64> = current.iter().map(|s| s / total_cells).collect();
+    let current = timed(Phase::ChecksumRemote, || {
+        checksum_remote_blocks(comm, &local, cfg.params.num_vars)
+    });
+    let means: Vec<f64> = current.iter().map(|s| s / local.total_cells).collect();
+    let (epoch, tol) = (local.epoch, cfg.validate_tol);
     match prev.as_ref() {
         Some(p) if p.epoch == epoch => match amr_mesh::checksum::validate(&p.means, &means, tol) {
             amr_mesh::checksum::Validation::Ok => stats.checksums_passed += 1,

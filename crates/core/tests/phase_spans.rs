@@ -1,8 +1,9 @@
 //! Phase intervals reach the event bus from every variant with no switch
 //! other than the bus itself: each rank of an MPI-only, fork-join and
-//! data-flow smoke shows up in the span graph with busy time and
-//! stencil/pack/unpack intervals, and the run's checksum digest is the
-//! one the same run produces with the bus off. Every task of the tasked
+//! data-flow smoke shows up in the span graph with busy time,
+//! stencil/pack/unpack time and domain-boundary fill intervals, and the
+//! run's checksum digest is the one the same run produces with the bus
+//! off. Every task of the tasked
 //! variants carries a typed kind, so fork-join's critical path sees its
 //! compute. The metrics registry's task count is the runtimes' own: one
 //! counter per quantity.
@@ -103,6 +104,13 @@ fn every_variant_emits_phase_spans_for_every_rank() {
                     r.rank
                 );
             }
+            // Domain-boundary fills are short, so only their presence is
+            // asserted, not their duration.
+            assert!(
+                totals.iter().any(|&(p, _)| p == Phase::Boundary),
+                "{variant:?} rank {}: no Boundary interval in {totals:?}",
+                r.rank
+            );
         }
     }
 }

@@ -484,17 +484,26 @@ rm -f "$perf_json" "$perf_trace"
 el_mesh=(--npx 2 --npy 2 --npz 1 --nx 6 --ny 6 --nz 6 --num_vars 4
          --num_tsteps 6 --stages_per_ts 4 --checksum_freq 2
          --refine_freq 2 --num_refine 2)
-df_fixed=""
+# The fixed-rank digests of the three variants must agree with each
+# other before any resize plan is compared against them.
+fixed_digest=""
 for variant in mpi forkjoin dataflow; do
-  echo "==> elastic digest parity: $variant"
+  echo "==> elastic digest parity: $variant fixed-rank"
   fixed_out="$(timeout 60 "$MINIAMR" --variant "$variant" "${el_mesh[@]}" 2>&1)"
-  fixed_digest="$(awk '$1 == "checksum_digest" { print $2 }' <<<"$fixed_out")"
-  if [ -z "$fixed_digest" ]; then
+  digest="$(awk '$1 == "checksum_digest" { print $2 }' <<<"$fixed_out")"
+  if [ -z "$digest" ]; then
     echo "elastic: fixed-rank $variant run printed no checksum_digest" >&2
     echo "$fixed_out" >&2
     exit 1
   fi
-  if [ "$variant" = dataflow ]; then df_fixed="$fixed_digest"; fi
+  if [ -n "$fixed_digest" ] && [ "$digest" != "$fixed_digest" ]; then
+    echo "elastic: fixed-rank $variant digest '$digest' != '$fixed_digest'" >&2
+    exit 1
+  fi
+  fixed_digest="$digest"
+done
+for variant in mpi forkjoin dataflow; do
+  echo "==> elastic digest parity: $variant"
   # Grow 4->8; grow then shrink back 8->4; pure shrink 4->2.
   for plan in "--resize_at 2:8" \
               "--resize_at 2:8 --resize_at 4:4" \
@@ -533,8 +542,8 @@ if ! grep -q "shrinking 4 -> 3 ranks" <<<"$sh_out"; then
   echo "$sh_out" >&2
   exit 1
 fi
-if [ "$sh_digest" != "$df_fixed" ]; then
-  echo "shrink-on-failure: digest '$sh_digest' != fixed '$df_fixed'" >&2
+if [ "$sh_digest" != "$fixed_digest" ]; then
+  echo "shrink-on-failure: digest '$sh_digest' != fixed '$fixed_digest'" >&2
   echo "$sh_out" >&2
   exit 1
 fi
@@ -575,8 +584,8 @@ if [ "$(wc -l <<<"$soak_digests")" -ne 4 ]; then
   echo "$soak_out" >&2
   exit 1
 fi
-if [ "$(sort -u <<<"$soak_digests" | tr -d '[:space:]')" != "$df_fixed" ]; then
-  echo "elastic soak: per-job digests diverged from fixed '$df_fixed':" >&2
+if [ "$(sort -u <<<"$soak_digests" | tr -d '[:space:]')" != "$fixed_digest" ]; then
+  echo "elastic soak: per-job digests diverged from fixed '$fixed_digest':" >&2
   echo "$soak_digests" >&2
   echo "$soak_out" >&2
   exit 1

@@ -171,3 +171,45 @@ fn single_sphere_input_runs_all_variants() {
     let b = checksums_of(&cfg, Variant::DataFlow, NetworkModel::instant());
     assert_eq!(a, b);
 }
+
+#[test]
+fn schedule_counters_agree_with_checkpoints_and_regrids() {
+    // The timestep schedule (checksum, checkpoint and regrid cadences) is
+    // shared by every variant, so the counters it drives must agree, not
+    // only the checksum history. Data-flow runs twice: with the eager
+    // and with the delayed checksum, whose pending validation is flushed
+    // at span end.
+    let mut cfg = base_cfg();
+    cfg.ckpt_freq = 4;
+    let totals = |variant: Variant, delayed: bool| {
+        let mut cfg = cfg.clone();
+        cfg.variant = variant;
+        cfg.delayed_checksum = delayed;
+        let stats = miniamr::run_world(&cfg, cfg.params.num_ranks(), NetworkModel::instant());
+        assert!(stats.iter().all(|s| s.checksums_failed == 0));
+        let sum = |f: fn(&miniamr::RunStats) -> u64| stats.iter().map(f).sum::<u64>();
+        [
+            sum(|s| s.checksums_passed as u64),
+            sum(|s| s.checkpoints_taken as u64),
+            sum(|s| s.blocks_moved),
+            sum(|s| s.final_blocks as u64),
+            sum(|s| s.msgs_sent),
+            sum(|s| s.flops),
+        ]
+    };
+    let reference = totals(Variant::MpiOnly, false);
+    let [passed, checkpoints, moved, ..] = reference;
+    assert!(passed > 0 && checkpoints > 0 && moved > 0, "{reference:?}");
+    for (variant, delayed) in [
+        (Variant::ForkJoin, false),
+        (Variant::DataFlow, false),
+        (Variant::DataFlow, true),
+    ] {
+        assert_eq!(
+            totals(variant, delayed),
+            reference,
+            "{variant:?} (delayed={delayed}): [checksums_passed, checkpoints_taken, \
+             blocks_moved, final_blocks, msgs_sent, flops] diverged from MPI-only"
+        );
+    }
+}
